@@ -116,9 +116,9 @@ tier_tsan() {
   cmake --preset tsan &&
   cmake --build build-tsan -j"$(nproc)" \
     --target chase_test chase_limits_test chase_parallel_test governor_test \
-             obs_test join_plan_test memory_budget_test &&
+             obs_test batch_apply_test join_plan_test memory_budget_test &&
   (cd build-tsan && ctest -j"$(nproc)" \
-    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress')
+    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress')
 }
 
 tier_asan() {
@@ -130,30 +130,24 @@ tier_asan() {
   cmake --preset asan &&
   cmake --build build-asan -j"$(nproc)" \
     --target governor_test egd_test chase_limits_test decider_test \
-             join_plan_test memory_budget_test edb_test &&
+             batch_apply_test join_plan_test memory_budget_test edb_test &&
   (cd build-asan && ctest -j"$(nproc)" \
-    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|BulkLoad|EdbSeed|EdbSnapshot')
+    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|BulkLoad|EdbSeed|EdbSnapshot')
 }
 
 tier_perf() {
-  # Tier 4 (perf smoke): run E10 and E12 on their smallest workloads in
+  # Tier 4 (perf smoke): run E10 and E13 on their smallest workloads in
   # the tier-1 build. This is a correctness smoke for the bench harness
   # plus a coarse perf tripwire — if a committed baseline exists, diff
   # the fresh smoke rows against it and fail on regressions of matched
   # (workload, variant, threads) rows. Smoke rows are a subset, so extra
-  # baseline rows are ignored by the comparator. E12's binary also
-  # asserts plan-vs-backtracking bit-identity on every row.
+  # baseline rows are ignored by the comparator.
   cmake --build --preset default -j"$(nproc)" \
-    --target bench_e10_storage_executor bench_e12_join_plans \
-             bench_e13_bulk_load &&
+    --target bench_e10_storage_executor bench_e13_bulk_load &&
   (cd build/bench && ./bench_e10_storage_executor --smoke --benchmark_filter=none) &&
-  (cd build/bench && ./bench_e12_join_plans --smoke --benchmark_filter=none) &&
   (cd build/bench && ./bench_e13_bulk_load --smoke --benchmark_filter=none) &&
   { [[ ! -f BENCH_e10.json ]] ||
     python3 scripts/bench_compare.py BENCH_e10.json build/bench/BENCH_e10.json \
-      --threshold 0.50; } &&
-  { [[ ! -f BENCH_e12.json ]] ||
-    python3 scripts/bench_compare.py BENCH_e12.json build/bench/BENCH_e12.json \
       --threshold 0.50; } &&
   { [[ ! -f BENCH_e13.json ]] ||
     python3 scripts/bench_compare.py BENCH_e13.json build/bench/BENCH_e13.json \

@@ -91,10 +91,7 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
   stats_.memory_budget_bytes =
       memory_budget_->limited() ? memory_budget_->hard_limit_bytes() : 0;
   stats_.per_rule.assign(rules_.size(), RuleStats{});
-  // Compile the join plans once per run. Compilation is unconditional —
-  // it is O(body size) per rule and lets stats report plannability even
-  // when execution is toggled off — but the discovery dispatch only uses
-  // the plans when options_.join_plans is set.
+  // Compile the join plans once per run (O(body size) per rule).
   plans_ = JoinPlanSet::Compile(rules_);
   stats_.plannable_rules = plans_.plannable_rules();
   stats_.discovery_threads = std::max<uint32_t>(1, options_.discovery_threads);
@@ -150,7 +147,7 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
 }
 
 std::vector<uint32_t> ChaseRun::TriggerKey(uint32_t rule_index,
-                                           const Binding& binding) const {
+                                           const Term* images) const {
   const Tgd& rule = rules_.rule(rule_index);
   const std::vector<VarId>& vars =
       options_.variant == ChaseVariant::kOblivious ? rule.universal_variables()
@@ -159,24 +156,8 @@ std::vector<uint32_t> ChaseRun::TriggerKey(uint32_t rule_index,
   key.reserve(vars.size() + 1);
   key.push_back(rule_index);
   for (VarId v : vars) {
-    GCHASE_CHECK(IsBound(binding[v]));
-    key.push_back(binding[v].raw());
-  }
-  return key;
-}
-
-std::vector<uint32_t> ChaseRun::TriggerKeyRow(uint32_t rule_index,
-                                              const Term* row) const {
-  const Tgd& rule = rules_.rule(rule_index);
-  const std::vector<VarId>& vars =
-      options_.variant == ChaseVariant::kOblivious ? rule.universal_variables()
-                                                   : rule.frontier();
-  std::vector<uint32_t> key;
-  key.reserve(vars.size() + 1);
-  key.push_back(rule_index);
-  for (VarId v : vars) {
-    GCHASE_CHECK(IsBound(row[v]));
-    key.push_back(row[v].raw());
+    GCHASE_CHECK(IsBound(images[v]));
+    key.push_back(images[v].raw());
   }
   return key;
 }
@@ -237,110 +218,6 @@ ChaseRun::HeadCheck ChaseRun::CheckHeadSatisfied(const Tgd& rule,
     return HeadCheck::kStopped;
   }
   return HeadCheck::kUnsatisfied;
-}
-
-bool ChaseRun::ApplyTrigger(uint32_t rule_index, const Binding& binding,
-                            const AtomObserver& observer,
-                            ChaseOutcome* outcome) {
-  const Tgd& rule = rules_.rule(rule_index);
-
-  if (applied_triggers_ >= options_.max_steps) {
-    *outcome = ChaseOutcome::kResourceLimit;
-    return false;
-  }
-  // Overflow-safe null cap: compare headroom, never the sum (the sum can
-  // wrap when max_nulls is near the type maximum). The representable-id
-  // ceiling is folded in so exhausting Term's 30-bit null space is a clean
-  // resource limit rather than a checked abort deep in Term::Null.
-  const uint64_t null_cap = std::min(options_.max_nulls, kMaxLabeledNulls);
-  if (next_null_ > null_cap ||
-      rule.existential_variables().size() > null_cap - next_null_) {
-    *outcome = ChaseOutcome::kResourceLimit;
-    return false;
-  }
-  // Storage-growth checkpoint before this trigger materializes its head.
-  // Projected bytes are 0 — the round's bulk reserve already pre-sized
-  // for every pending head — but the level check still trips once
-  // steady-state growth (posting lists, arena doublings past the
-  // estimate) crosses the budget. Ordinal-identical to the batch path's
-  // checkpoint.
-  if (AllocationStop(0, outcome)) return false;
-  ++applied_triggers_;
-  ++stats_.per_rule[rule_index].applied;
-
-  // Extend the homomorphism with fresh nulls for the existential variables.
-  Binding extended = binding;
-  TriggerRecord record;
-  if (options_.track_provenance) {
-    record.rule = rule_index;
-    record.binding = binding;
-    record.body_atoms.reserve(rule.body().size());
-    for (const Atom& body_atom : rule.body()) {
-      std::optional<AtomId> id =
-          instance_.Find(SubstituteAtom(body_atom, binding));
-      GCHASE_CHECK(id.has_value());
-      record.body_atoms.push_back(*id);
-    }
-  }
-  for (VarId v : rule.existential_variables()) {
-    Term null = Term::Null(next_null_++);
-    extended[v] = null;
-    if (options_.track_provenance) record.created_nulls.push_back(null);
-  }
-
-  const uint32_t trigger_index = static_cast<uint32_t>(triggers_.size());
-  AtomId parent_id = kNoAtomId;
-  uint32_t parent_depth = 0;
-  if (options_.track_provenance) {
-    const uint32_t guard = rule.guard_index().value_or(0);
-    parent_id = record.body_atoms[guard];
-    parent_depth = provenance_[parent_id].depth;
-  }
-
-  std::vector<AtomId> new_atoms;
-  bool over_atom_cap = false;
-  for (uint32_t h = 0; h < rule.head().size(); ++h) {
-    Atom derived = SubstituteAtom(rule.head()[h], extended);
-    auto [id, inserted] = instance_.Insert(derived);
-    if (inserted) new_atoms.push_back(id);
-    if (options_.track_provenance) {
-      record.produced.push_back(id);
-      if (inserted) {
-        AtomProvenance prov;
-        prov.rule = rule_index;
-        prov.head_index = h;
-        prov.parent = parent_id;
-        prov.depth = parent_depth + 1;
-        prov.trigger = trigger_index;
-        provenance_.push_back(prov);
-        GCHASE_CHECK(provenance_.size() == instance_.size());
-      }
-    }
-    if (instance_.size() > options_.max_atoms) {
-      over_atom_cap = true;
-      break;
-    }
-  }
-  if (options_.track_provenance) triggers_.push_back(std::move(record));
-  // Notify only after the trigger record is in place: observers (e.g. the
-  // pump detector) follow provenance into triggers().
-  if (observer != nullptr) {
-    for (AtomId id : new_atoms) {
-      if (!observer(id)) {
-        abort_requested_ = true;
-        break;
-      }
-    }
-  }
-  if (abort_requested_) {
-    *outcome = ChaseOutcome::kAborted;
-    return false;
-  }
-  if (over_atom_cap) {
-    *outcome = ChaseOutcome::kResourceLimit;
-    return false;
-  }
-  return true;
 }
 
 bool ChaseRun::GovernorStop(FaultSite site, uint64_t ordinal,
@@ -416,265 +293,18 @@ ThreadPool* ChaseRun::Pool(uint32_t num_threads) {
 std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
     AtomId watermark, bool* capped, bool* stopped,
     ChaseOutcome* stop_outcome) {
-  uint32_t num_threads = std::max<uint32_t>(1, options_.discovery_threads);
-  if (options_.executor != nullptr) {
-    num_threads = std::min(num_threads, options_.executor->worker_count());
-  }
-  last_estimated_work_ = EstimateDiscoveryWork(watermark);
-  last_parallel_ = false;
-  last_plan_units_ = 0;
-  last_fallback_units_ = 0;
-  last_binding_rows_ = 0;
-  // The compiled-plan engine takes over whenever it can help: it runs
-  // plannable rules set-at-a-time and everything else through the same
-  // backtracking search the legacy engines use, so with zero plannable
-  // rules it would only add per-unit buffer shuffling.
-  const bool use_plans = options_.join_plans && plans_.plannable_rules() > 0;
-  // Adaptive cutover: tiny rounds run serial even with a pool configured —
-  // waking parked workers costs more than a handful of index probes. Both
-  // engines produce identical results, so this is purely a scheduling
-  // decision.
-  if (num_threads <= 1 ||
-      (options_.parallel_cutover_work != 0 &&
-       last_estimated_work_ < options_.parallel_cutover_work)) {
-    if (use_plans) {
-      return DiscoverPlanned(watermark, capped, stopped, stop_outcome, 1);
-    }
-    return DiscoverSerial(watermark, capped, stopped, stop_outcome);
-  }
-  last_parallel_ = true;
-  if (use_plans) {
-    return DiscoverPlanned(watermark, capped, stopped, stop_outcome,
-                           num_threads);
-  }
-  return DiscoverParallel(watermark, capped, stopped, stop_outcome,
-                          num_threads);
-}
-
-std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverSerial(
-    AtomId watermark, bool* capped, bool* stopped,
-    ChaseOutcome* stop_outcome) {
-  std::vector<PendingTrigger> pending;
-  uint64_t unit = 0;
-  for (uint32_t r = 0; r < rules_.size() && !*capped && !*stopped; ++r) {
-    const Tgd& rule = rules_.rule(r);
-    const std::size_t body_size = rule.body().size();
-    HomomorphismFinder finder(instance_);
-    for (std::size_t pivot = 0; pivot < body_size && !*capped && !*stopped;
-         ++pivot) {
-      if (GovernorStop(FaultSite::kDiscovery, unit++, stop_outcome)) {
-        *stopped = true;
-        break;
-      }
-      static MetricHistogram* const unit_hist =
-          MetricsRegistry::Global().Histogram(
-              "chase.discovery_unit_fallback_ns");
-      LatencyTimer unit_timer(unit_hist);
-      HomSearchOptions search;
-      search.watermark = watermark;
-      search.ranges.assign(body_size, MatchRange::kAll);
-      for (std::size_t i = 0; i < pivot; ++i) {
-        search.ranges[i] = MatchRange::kOldOnly;
-      }
-      search.ranges[pivot] = MatchRange::kDeltaOnly;
-      search.max_candidate_visits =
-          options_.max_join_work > join_work_
-              ? options_.max_join_work - join_work_
-              : 0;
-      search.visits = &join_work_;
-      search.budget_exhausted = capped;
-      bool governor_tripped = false;
-      search.governor = &governor_;
-      search.governor_tripped = &governor_tripped;
-      finder.FindAllWithOptions(
-          rule.body(), rule.num_variables(), search, Binding(),
-          [&](const Binding& binding) {
-            ++hom_discoveries_;
-            std::vector<uint32_t> key = TriggerKey(r, binding);
-            if (applied_keys_.insert(std::move(key)).second) {
-              ++stats_.per_rule[r].discovered;
-              pending.push_back(PendingTrigger{r, binding});
-            }
-            if (applied_triggers_ + pending.size() >= options_.max_steps ||
-                hom_discoveries_ >= options_.max_hom_discoveries) {
-              *capped = true;
-              return false;
-            }
-            return true;
-          });
-      if (governor_tripped) {
-        *stopped = true;
-        *stop_outcome = OutcomeOf(governor_.Check());
-      }
-    }
-  }
-  return pending;
-}
-
-std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverParallel(
-    AtomId watermark, bool* capped, bool* stopped, ChaseOutcome* stop_outcome,
-    uint32_t num_threads) {
-  // One work unit per (rule, pivot) pair: the pivot conjunct is
-  // constrained to the delta, so the units partition the round's
-  // homomorphisms exactly as the serial engine enumerates them. Workers
-  // share the instance read-only and write only their own unit, so the
-  // phase is data-race-free by construction.
+  // One unit per (rule, pivot) pair: the pivot conjunct is constrained to
+  // the delta, so the units partition the round's homomorphisms. Each unit
+  // writes its rows, in the backtracking search's enumeration order, into
+  // its own segment; workers share the instance read-only, so the phase
+  // is data-race-free by construction.
   struct DiscoveryUnit {
     uint32_t rule = 0;
     uint32_t pivot = 0;
-    std::vector<Binding> found;
+    bool planned = false;  ///< Plan kernel (vs. the backtracking search).
+    BindingSegment rows;
     uint64_t visits = 0;
-    bool budget_exhausted = false;
-    bool governor_tripped = false;
-  };
-  std::vector<DiscoveryUnit> units;
-  for (uint32_t r = 0; r < rules_.size(); ++r) {
-    const std::size_t body_size = rules_.rule(r).body().size();
-    for (std::size_t pivot = 0; pivot < body_size; ++pivot) {
-      DiscoveryUnit unit;
-      unit.rule = r;
-      unit.pivot = static_cast<uint32_t>(pivot);
-      units.push_back(std::move(unit));
-    }
-  }
-
-  // Budgets are snapshotted at round start and granted to every unit in
-  // full: a worker cannot know how much budget its siblings are spending.
-  // When no cap ends up binding — checked after the join below — every
-  // unit runs to completion just like the serial loop and the merge is
-  // exact. When a cap does bind, the phase is re-run serially (see the
-  // fallback below) so that capped runs, too, are bit-identical to
-  // discovery_threads == 1.
-  const uint64_t join_budget = options_.max_join_work > join_work_
-                                   ? options_.max_join_work - join_work_
-                                   : 0;
-  const uint64_t hom_budget =
-      options_.max_hom_discoveries > hom_discoveries_
-          ? options_.max_hom_discoveries - hom_discoveries_
-          : 0;
-  const uint64_t step_budget = options_.max_steps > applied_triggers_
-                                   ? options_.max_steps - applied_triggers_
-                                   : 0;
-  const uint64_t local_found_cap = std::min(hom_budget, step_budget);
-
-  // A governor/injector trip anywhere makes the whole phase stop early:
-  // workers publish the abort outcome here (first writer wins is fine —
-  // outcomes from concurrent trips are interchangeable) and every worker
-  // checks it before starting the next unit.
-  std::atomic<int> abort_outcome{-1};
-  Pool(num_threads)->ParallelFor(units.size(), [&](uint64_t u) {
-    if (abort_outcome.load(std::memory_order_relaxed) >= 0) return;
-    DiscoveryUnit& unit = units[u];
-    ChaseOutcome unit_outcome;
-    if (GovernorStop(FaultSite::kDiscovery, u, &unit_outcome)) {
-      abort_outcome.store(static_cast<int>(unit_outcome),
-                          std::memory_order_relaxed);
-      return;
-    }
-    static MetricHistogram* const unit_hist =
-        MetricsRegistry::Global().Histogram("chase.discovery_unit_fallback_ns");
-    LatencyTimer unit_timer(unit_hist);
-    const Tgd& rule = rules_.rule(unit.rule);
-    const std::size_t body_size = rule.body().size();
-    HomomorphismFinder finder(instance_);
-    HomSearchOptions search;
-    search.watermark = watermark;
-    search.ranges.assign(body_size, MatchRange::kAll);
-    for (std::size_t i = 0; i < unit.pivot; ++i) {
-      search.ranges[i] = MatchRange::kOldOnly;
-    }
-    search.ranges[unit.pivot] = MatchRange::kDeltaOnly;
-    search.max_candidate_visits = join_budget;
-    search.visits = &unit.visits;
-    search.budget_exhausted = &unit.budget_exhausted;
-    search.governor = &governor_;
-    search.governor_tripped = &unit.governor_tripped;
-    finder.FindAllWithOptions(
-        rule.body(), rule.num_variables(), search, Binding(),
-        [&unit, local_found_cap](const Binding& binding) {
-          unit.found.push_back(binding);
-          if (unit.found.size() >= local_found_cap) {
-            unit.budget_exhausted = true;
-            return false;
-          }
-          return true;
-        });
-    if (unit.governor_tripped) {
-      abort_outcome.store(static_cast<int>(OutcomeOf(governor_.Check())),
-                          std::memory_order_relaxed);
-    }
-  });
-
-  uint64_t total_visits = 0;
-  uint64_t total_found = 0;
-  bool any_exhausted = false;
-  for (const DiscoveryUnit& unit : units) {
-    total_visits += unit.visits;
-    total_found += unit.found.size();
-    any_exhausted |= unit.budget_exhausted;
-  }
-  if (abort_outcome.load(std::memory_order_relaxed) >= 0) {
-    // Work accounting is merged even when the phase aborted, so partial
-    // stats stay truthful.
-    join_work_ += total_visits;
-    if (any_exhausted) *capped = true;
-    *stopped = true;
-    *stop_outcome =
-        static_cast<ChaseOutcome>(abort_outcome.load(std::memory_order_relaxed));
-    return {};
-  }
-
-  // Cap-adjacent rounds fall back to the serial engine wholesale. A
-  // binding cap stops the serial loop mid-search at a point that depends
-  // on cumulative spending across units — unreconstructible from per-unit
-  // results that each ran against the full snapshot. Re-running serially
-  // (discarding the parallel phase's work and accounting) keeps capped
-  // runs bit-identical to discovery_threads == 1, and costs at most one
-  // extra discovery pass per chase: a capped round is terminal.
-  if (any_exhausted || total_visits >= join_budget ||
-      total_found >= local_found_cap) {
-    last_parallel_ = false;
-    return DiscoverSerial(watermark, capped, stopped, stop_outcome);
-  }
-
-  // Deterministic merge in (rule, pivot, discovery) order — the exact
-  // order the serial engine discovers in — re-running the shared-state
-  // steps (dedup against applied_keys_, counter updates) that workers
-  // could not touch concurrently. No cap checks here: the fallback above
-  // guarantees total_visits < join_budget and total_found <
-  // min(hom_budget, step_budget), so no cap can trip during the merge.
-  join_work_ += total_visits;
-  std::vector<PendingTrigger> pending;
-  for (const DiscoveryUnit& unit : units) {
-    for (const Binding& binding : unit.found) {
-      ++hom_discoveries_;
-      std::vector<uint32_t> key = TriggerKey(unit.rule, binding);
-      if (applied_keys_.insert(std::move(key)).second) {
-        ++stats_.per_rule[unit.rule].discovered;
-        pending.push_back(PendingTrigger{unit.rule, binding});
-      }
-    }
-  }
-  return pending;
-}
-
-std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
-    AtomId watermark, bool* capped, bool* stopped, ChaseOutcome* stop_outcome,
-    uint32_t num_threads) {
-  // Same unit decomposition and merge discipline as DiscoverParallel;
-  // what changes is the per-unit engine. Plannable rules execute their
-  // compiled plan set-at-a-time into a columnar segment; non-plannable
-  // rules run the backtracking search into a Binding buffer. Either way a
-  // unit's results arrive in the exact order the serial engine discovers
-  // them, so the unit-order merge reproduces the serial trigger sequence.
-  struct PlanUnit {
-    uint32_t rule = 0;
-    uint32_t pivot = 0;
-    bool planned = false;        ///< Runs the compiled plan (vs. fallback).
-    BindingSegment rows;         ///< Plan-path results.
-    std::vector<Binding> found;  ///< Backtracking-path results.
-    uint64_t visits = 0;
-    bool budget_exhausted = false;
+    bool budget_exhausted = false;  ///< Join budget or row cap ran out.
     bool governor_tripped = false;
   };
   std::size_t unit_count = 0;
@@ -682,7 +312,7 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
     unit_count += rules_.rule(r).body().size();
   }
   // Sized up front (BindingSegment pins units in place — no regrowth).
-  std::vector<PlanUnit> units(unit_count);
+  std::vector<DiscoveryUnit> units(unit_count);
   {
     std::size_t u = 0;
     for (uint32_t r = 0; r < rules_.size(); ++r) {
@@ -699,7 +329,7 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
   // This round's depth-zero conjunct choice per plannable rule — the one
   // instance-dependent decision of a (<= 2)-conjunct backtracking search.
   // The instance is frozen for the whole phase, so resolving it once here
-  // pins every unit's enumeration order to the serial engine's.
+  // pins every unit's enumeration order.
   round_first_.assign(rules_.size(), kNoRule);
   for (uint32_t r = 0; r < rules_.size(); ++r) {
     const RuleJoinPlan& plan = plans_.plan(r);
@@ -713,27 +343,32 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
     }
   }
 
-  // Budget snapshots, abort protocol and the cap-adjacent serial rerun
-  // are identical to DiscoverParallel (see the comments there); the plan
-  // executor charges the same per-node visit counts the backtracking
-  // search accrues, so the post-hoc cap checks compare like with like.
-  const uint64_t join_budget = options_.max_join_work > join_work_
-                                   ? options_.max_join_work - join_work_
-                                   : 0;
-  const uint64_t hom_budget =
-      options_.max_hom_discoveries > hom_discoveries_
-          ? options_.max_hom_discoveries - hom_discoveries_
-          : 0;
-  const uint64_t step_budget = options_.max_steps > applied_triggers_
-                                   ? options_.max_steps - applied_triggers_
-                                   : 0;
-  const uint64_t local_found_cap = std::min(hom_budget, step_budget);
+  // Adaptive cutover: tiny rounds run inline even with a pool configured —
+  // waking parked workers costs more than a handful of index probes. The
+  // units and their merge are the same either way, so this is purely a
+  // scheduling decision.
+  const uint32_t num_threads = stats_.discovery_threads;
+  last_estimated_work_ = EstimateDiscoveryWork(watermark);
+  last_parallel_ = num_threads > 1 &&
+                   (options_.parallel_cutover_work == 0 ||
+                    last_estimated_work_ >= options_.parallel_cutover_work);
+  last_plan_units_ = 0;
+  last_fallback_units_ = 0;
+  last_binding_rows_ = 0;
 
+  const auto remaining = [](uint64_t cap, uint64_t used) {
+    return cap > used ? cap - used : 0;
+  };
+  // A governor/injector trip anywhere makes the whole phase stop early:
+  // workers publish the abort outcome here (first writer wins is fine —
+  // outcomes from concurrent trips are interchangeable) and every worker
+  // checks it before starting the next unit.
   std::atomic<int> abort_outcome{-1};
   const PlanExecutor executor(instance_);
-  const auto run_unit = [&](uint64_t u) {
+  const auto run_unit = [&](uint64_t u, uint64_t join_budget,
+                            uint64_t found_cap) {
     if (abort_outcome.load(std::memory_order_relaxed) >= 0) return;
-    PlanUnit& unit = units[u];
+    DiscoveryUnit& unit = units[u];
     ChaseOutcome unit_outcome;
     if (GovernorStop(FaultSite::kDiscovery, u, &unit_outcome)) {
       abort_outcome.store(static_cast<int>(unit_outcome),
@@ -746,12 +381,15 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
         MetricsRegistry::Global().Histogram("chase.discovery_unit_fallback_ns");
     LatencyTimer unit_timer(unit.planned ? plan_unit_hist
                                          : fallback_unit_hist);
+    unit.visits = 0;
+    unit.budget_exhausted = false;
+    unit.governor_tripped = false;
     if (unit.planned) {
       BindingSegment scratch;
       scratch.SetMemoryBudget(memory_budget_.get());
       const PlanExecutor::UnitStatus status = executor.ExecuteUnit(
           plans_.plan(unit.rule), unit.pivot, round_first_[unit.rule],
-          watermark, join_budget, local_found_cap, &governor_, &scratch,
+          watermark, join_budget, found_cap, &governor_, &scratch,
           &unit.rows);
       unit.visits = status.charge;
       unit.budget_exhausted = status.budget_exhausted;
@@ -772,11 +410,13 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
       search.budget_exhausted = &unit.budget_exhausted;
       search.governor = &governor_;
       search.governor_tripped = &unit.governor_tripped;
+      unit.rows.Clear();
+      unit.rows.SetWidth(rule.num_variables());
       finder.FindAllWithOptions(
           rule.body(), rule.num_variables(), search, Binding(),
-          [&unit, local_found_cap](const Binding& binding) {
-            unit.found.push_back(binding);
-            if (unit.found.size() >= local_found_cap) {
+          [&unit, found_cap](const Binding& binding) {
+            unit.rows.AppendRow(binding.data());
+            if (unit.rows.rows() >= found_cap) {
               unit.budget_exhausted = true;
               return false;
             }
@@ -788,76 +428,111 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
                           std::memory_order_relaxed);
     }
   };
-  if (num_threads > 1) {
-    Pool(num_threads)->ParallelFor(units.size(), run_unit);
-  } else {
-    for (uint64_t u = 0; u < units.size(); ++u) {
-      if (abort_outcome.load(std::memory_order_relaxed) >= 0) break;
-      run_unit(u);
-    }
-  }
-
-  uint64_t total_visits = 0;
-  uint64_t total_found = 0;
-  bool any_exhausted = false;
-  for (const PlanUnit& unit : units) {
-    total_visits += unit.visits;
-    total_found += unit.planned ? unit.rows.rows() : unit.found.size();
-    any_exhausted |= unit.budget_exhausted;
-  }
-  if (abort_outcome.load(std::memory_order_relaxed) >= 0) {
-    join_work_ += total_visits;
-    if (any_exhausted) *capped = true;
+  const auto aborted = [&]() {
+    const int code = abort_outcome.load(std::memory_order_relaxed);
+    if (code < 0) return false;
     *stopped = true;
-    *stop_outcome = static_cast<ChaseOutcome>(
-        abort_outcome.load(std::memory_order_relaxed));
-    return {};
-  }
+    *stop_outcome = static_cast<ChaseOutcome>(code);
+    return true;
+  };
 
-  // Cap-adjacent rounds re-run on the backtracking path wholesale, for
-  // the same reason DiscoverParallel does: where exactly a cumulative cap
-  // stops the serial loop is unreconstructible from per-unit results that
-  // each ran against the full budget snapshot. Visit parity makes this
-  // check exact — the plan engine charged precisely the visits the serial
-  // engine would have — so plan-on runs cap on the same rounds, at the
-  // same points, as plan-off runs.
-  if (any_exhausted || total_visits >= join_budget ||
-      total_found >= local_found_cap) {
-    last_parallel_ = false;
-    last_plan_units_ = 0;
-    last_binding_rows_ = 0;
-    last_fallback_units_ = units.size();
-    return DiscoverSerial(watermark, capped, stopped, stop_outcome);
-  }
-
-  join_work_ += total_visits;
+  // The one merge loop: rows in unit order, deduplicated through the
+  // variant's trigger key. The step cap counts deduplicated candidates,
+  // the hom cap every row; either stops the merge right after the row
+  // that reaches it. Returns true when a cap stopped it.
   std::vector<PendingTrigger> pending;
-  for (const PlanUnit& unit : units) {
+  const auto merge = [&](const DiscoveryUnit& unit) {
     if (unit.planned) {
       ++last_plan_units_;
       ++stats_.per_rule[unit.rule].plan_rotations;
-      last_binding_rows_ += unit.rows.rows();
-      const uint32_t width = unit.rows.width();
-      for (uint64_t i = 0; i < unit.rows.rows(); ++i) {
-        const Term* row = unit.rows.row(i);
-        ++hom_discoveries_;
-        std::vector<uint32_t> key = TriggerKeyRow(unit.rule, row);
-        if (applied_keys_.insert(std::move(key)).second) {
-          ++stats_.per_rule[unit.rule].discovered;
-          pending.push_back(
-              PendingTrigger{unit.rule, Binding(row, row + width)});
-        }
-      }
     } else {
       ++last_fallback_units_;
-      for (const Binding& binding : unit.found) {
-        ++hom_discoveries_;
-        std::vector<uint32_t> key = TriggerKey(unit.rule, binding);
-        if (applied_keys_.insert(std::move(key)).second) {
-          ++stats_.per_rule[unit.rule].discovered;
-          pending.push_back(PendingTrigger{unit.rule, binding});
-        }
+    }
+    last_binding_rows_ += unit.rows.rows();
+    const uint32_t width = unit.rows.width();
+    for (uint64_t i = 0; i < unit.rows.rows(); ++i) {
+      const Term* row = unit.rows.row(i);
+      ++hom_discoveries_;
+      if (applied_keys_.insert(TriggerKey(unit.rule, row)).second) {
+        ++stats_.per_rule[unit.rule].discovered;
+        pending.push_back(PendingTrigger{unit.rule, Binding(row, row + width)});
       }
+      if (applied_triggers_ + pending.size() >= options_.max_steps ||
+          hom_discoveries_ >= options_.max_hom_discoveries) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  // First pass: every unit gets the round-start budgets in full — a
+  // worker cannot know how much its siblings spend. The row cap is the
+  // smaller of the hom and step headroom: no unit needs more rows than
+  // that before some cap must have bound.
+  const uint64_t join_budget =
+      remaining(options_.max_join_work, join_work_);
+  const uint64_t found_cap =
+      std::min(remaining(options_.max_hom_discoveries, hom_discoveries_),
+               remaining(options_.max_steps, applied_triggers_));
+  if (last_parallel_) {
+    Pool(num_threads)->ParallelFor(units.size(), [&](uint64_t u) {
+      run_unit(u, join_budget, found_cap);
+    });
+  } else {
+    for (uint64_t u = 0; u < units.size(); ++u) {
+      run_unit(u, join_budget, found_cap);
+    }
+  }
+  uint64_t total_visits = 0;
+  bool any_exhausted = false;
+  for (const DiscoveryUnit& unit : units) {
+    total_visits += unit.visits;
+    any_exhausted |= unit.budget_exhausted;
+  }
+  if (aborted()) {
+    // Work accounting is merged even when the phase aborted, so partial
+    // stats stay truthful.
+    join_work_ += total_visits;
+    if (any_exhausted) *capped = true;
+    return {};
+  }
+  if (!any_exhausted && total_visits < join_budget) {
+    // Every unit ran to completion within the cumulative join budget, so
+    // the merge sees exactly the rows a cumulative unit-by-unit pass
+    // would produce.
+    join_work_ += total_visits;
+    for (const DiscoveryUnit& unit : units) {
+      if (merge(unit)) {
+        *capped = true;
+        break;
+      }
+    }
+    return pending;
+  }
+
+  // A cap bound somewhere. Where it stops a cumulative pass depends on
+  // what the earlier units spent, which per-unit results run against the
+  // round-start budgets cannot tell; so the round reruns inline, unit by
+  // unit, each unit granted only what its predecessors left and merged
+  // before the next one runs. The rerun is independent of the thread
+  // count, so capped runs stay bit-identical across discovery_threads; a
+  // capped round is terminal, so this costs at most one extra pass per
+  // run.
+  last_parallel_ = false;
+  last_plan_units_ = 0;
+  last_fallback_units_ = 0;
+  last_binding_rows_ = 0;
+  for (uint64_t u = 0; u < units.size(); ++u) {
+    run_unit(u, remaining(options_.max_join_work, join_work_),
+             remaining(options_.max_hom_discoveries, hom_discoveries_));
+    join_work_ += units[u].visits;
+    if (aborted()) {
+      if (units[u].budget_exhausted) *capped = true;
+      return {};
+    }
+    if (merge(units[u]) || units[u].budget_exhausted) {
+      *capped = true;
+      break;
     }
   }
   return pending;
@@ -1019,65 +694,12 @@ ChaseOutcome ChaseRun::ExecuteLoop(const AtomObserver& observer) {
 
     // Apply in the chosen order (always serial: application mutates the
     // instance, and restricted-chase semantics depend on the order).
-    // Set-at-a-time batch execution handles the common case; the
-    // per-trigger loop remains for observer and provenance runs, which
-    // need per-atom insertion hooks. Both paths are bit-identical —
-    // same atoms, ids, counters and abort points (pinned by the fuzz
-    // oracles) — so this is purely an execution-strategy choice.
     phase_timer.Restart();
     const uint64_t applied_before = applied_triggers_;
     GCHASE_TRACE_SPAN_PERF(TraceCategory::kChase, "chase.apply", rounds_ - 1,
                            PerfPhase::kApply);
-    const bool use_batch = options_.batch_apply && observer == nullptr &&
-                           !options_.track_provenance;
-    bool apply_ok = true;
-    if (use_batch) {
-      apply_ok = ApplyPendingBatch(pending, &round, &outcome);
-    } else {
-      // Per-rule application timing is threshold-gated: spans are
-      // recorded retroactively (phase 'X') only for triggers slower than
-      // the tracer's threshold, so a healthy run pays two clock reads per
-      // trigger when tracing is on and a single mask load when it is off.
-      Tracer& tracer = Tracer::Global();
-      const bool trace_triggers = tracer.enabled(TraceCategory::kChase);
-      for (const PendingTrigger& trigger : pending) {
-        // Per-trigger checkpoint: the apply phase stops between triggers,
-        // never mid-application, so provenance and dedup state stay
-        // consistent in the partial result.
-        if (GovernorStop(FaultSite::kTriggerApply, applied_triggers_,
-                         &outcome)) {
-          apply_ok = false;
-          break;
-        }
-        const uint64_t trigger_start_ns = trace_triggers ? tracer.NowNs() : 0;
-        const Tgd& rule = rules_.rule(trigger.rule);
-        if (options_.variant == ChaseVariant::kRestricted) {
-          const HeadCheck check =
-              CheckHeadSatisfied(rule, trigger.binding, &outcome);
-          if (check == HeadCheck::kStopped) {
-            apply_ok = false;
-            break;
-          }
-          if (check == HeadCheck::kSatisfied) {
-            ++stats_.per_rule[trigger.rule].skipped_satisfied;
-            continue;  // Satisfied triggers are skipped, permanently
-                       // (monotone).
-          }
-        }
-        const bool applied =
-            ApplyTrigger(trigger.rule, trigger.binding, observer, &outcome);
-        if (trace_triggers) {
-          const uint64_t now_ns = tracer.NowNs();
-          tracer.RecordComplete(TraceCategory::kChase, "chase.apply_rule",
-                                trigger_start_ns, now_ns - trigger_start_ns,
-                                trigger.rule);
-        }
-        if (!applied) {
-          apply_ok = false;
-          break;
-        }
-      }
-    }
+    const bool apply_ok =
+        ApplyPendingBatch(pending, observer, &round, &outcome);
     round.applied = applied_triggers_ - applied_before;
     round.apply_seconds = phase_timer.ElapsedSeconds();
     round.total_seconds = round_timer.ElapsedSeconds();

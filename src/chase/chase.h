@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "base/governor.h"
@@ -52,7 +53,7 @@ enum class TriggerOrder {
 enum class FaultSite {
   kRoundStart,    ///< Ordinal: the 0-based round about to start.
   kDiscovery,     ///< Ordinal: the (rule, pivot) discovery-unit index
-                  ///< within the round, in serial enumeration order.
+                  ///< within the round, in unit order.
   kTriggerApply,  ///< Ordinal: triggers applied so far in the run.
   kHeadCheck,     ///< Ordinal: restricted-chase head-satisfaction checks
                   ///< performed so far in the run. Sits at the entry of
@@ -64,9 +65,9 @@ enum class FaultSite {
                   ///< memory budget's pre-size denial sits, so injecting
                   ///< kMemoryBudget here exercises every byte-budget stop
                   ///< path without an actual multi-megabyte instance. The
-                  ///< ordinal sequence is identical between the batch and
-                  ///< per-trigger apply paths (pinned by the fuzz
-                  ///< oracles).
+                  ///< ordinal sequence does not depend on whether the
+                  ///< apply phase stages or inserts directly, nor on the
+                  ///< discovery thread count.
 };
 
 /// What a fault injector forces at a checkpoint.
@@ -95,12 +96,11 @@ struct ChaseOptions {
   /// Seed for TriggerOrder::kRandom.
   uint64_t order_seed = 0;
   /// Worker threads for the trigger-discovery phase. 1 (the default) runs
-  /// the serial engine; n > 1 shards the round's (rule, pivot) search
-  /// units over n threads and merges the discovered candidates
-  /// deterministically, so every value produces bit-identical instances
-  /// and trigger sequences. Trigger *application* is always serial (it
-  /// mutates the instance), so restricted-chase order sensitivity is
-  /// unaffected.
+  /// the round's (rule, pivot) discovery units inline; n > 1 shards them
+  /// over n threads. Either way the units' rows merge in unit order, so
+  /// every value produces bit-identical instances and trigger sequences.
+  /// Trigger *application* is always serial (it mutates the instance), so
+  /// restricted-chase order sensitivity is unaffected.
   uint32_t discovery_threads = 1;
   /// Persistent executor for the discovery fan-out. When set, the run
   /// wakes this pool's parked workers each parallel round instead of
@@ -111,7 +111,7 @@ struct ChaseOptions {
   std::shared_ptr<ThreadPool> executor;
   /// Adaptive serial/parallel cutover: a round whose estimated join work
   /// (delta cardinality x candidate fan-out, summed over discovery
-  /// units) falls below this threshold runs the serial engine even when
+  /// units) falls below this threshold runs its units inline even when
   /// discovery_threads > 1 — waking workers for a handful of probes
   /// costs more than the probes. 0 disables the cutover (always
   /// parallel). Results are bit-identical either way.
@@ -132,27 +132,9 @@ struct ChaseOptions {
   /// on high-fanout unguarded joins).
   uint64_t max_join_work = std::numeric_limits<uint64_t>::max();
   /// Record per-atom and per-trigger provenance (costs memory; required by
-  /// the termination deciders' pump detection).
+  /// the termination deciders' pump detection). Provenance runs insert
+  /// head atoms one by one instead of staging them for a bulk flush.
   bool track_provenance = false;
-  /// Set-at-a-time trigger application (the default). Head atoms of a
-  /// round's pending triggers are materialized into a columnar scratch
-  /// block and bulk-deduped into the store — no per-atom heap allocation.
-  /// The per-trigger path remains for observer and provenance runs (which
-  /// need per-atom insertion hooks) and as the differential baseline;
-  /// both paths produce bit-identical instances, atom ids and counters
-  /// (pinned by the fuzz oracles). Turn off to force per-trigger apply.
-  bool batch_apply = true;
-  /// Compiled set-at-a-time join plans for trigger discovery (the
-  /// default). Each rule body is compiled once at chase start into an
-  /// ordered join plan; discovery then executes plannable rules (bodies
-  /// of at most two conjuncts) as a columnar pipeline over range-clipped
-  /// posting lists instead of per-trigger backtracking. Non-plannable
-  /// bodies and cap-adjacent rounds stay on the backtracking path, and
-  /// both engines produce bit-identical instances, trigger sequences,
-  /// counters and join-work accounting (pinned by the fuzz oracles and
-  /// join_plan_test). Turn off to route every rule through the legacy
-  /// backtracking search.
-  bool join_plans = true;
   /// Byte budget for the run's retained storage (term arena, atom
   /// records, dedup table, position index, posting lists, batch staging).
   /// 0 means unlimited. Enforced two ways: bulk growth points project
@@ -254,14 +236,13 @@ struct RuleStats {
   uint64_t applied = 0;            ///< Triggers actually fired.
   uint64_t skipped_satisfied = 0;  ///< Restricted-chase satisfied skips.
   /// Discovery units this rule executed through the compiled plan (one
-  /// per (rule, pivot) rotation per kept plan round; 0 for non-plannable
-  /// rules or with join_plans off).
+  /// per (rule, pivot) unit whose rows were merged; 0 for non-plannable
+  /// rules).
   uint64_t plan_rotations = 0;
   /// The conjunct order the plan chose most recently (body indices in
   /// match order; empty if the rule never executed a plan). The order is
   /// re-chosen per round from the same selectivity estimates the
-  /// backtracking engine uses, so this also documents what the legacy
-  /// search would have matched first.
+  /// backtracking search uses at depth zero.
   std::vector<uint32_t> plan_order;
 };
 
@@ -279,24 +260,24 @@ struct RoundStats {
   /// phase timers alone leave invisible.
   double total_seconds = 0.0;
   uint64_t estimated_work = 0;     ///< Join-work estimate driving cutover.
-  bool parallel_discovery = false; ///< Round ran the parallel engine.
-  /// Triggers applied through the set-at-a-time executor this round (0 on
-  /// per-trigger rounds; equals `applied` on batch rounds).
+  bool parallel_discovery = false; ///< Round's units ran on the pool.
+  /// Triggers applied through the set-at-a-time apply path this round.
+  /// There is only one apply path, so this always equals `applied`.
   uint64_t batched_triggers = 0;
   /// Bulk segments flushed into the store this round. One per maximal run
   /// of same-shape head atoms: a whole (semi-)oblivious round of a
   /// single-head rule is one block; restricted rounds flush before every
   /// satisfaction check and so count one block per applied trigger.
+  /// Provenance and observer runs insert head atoms directly and flush no
+  /// blocks.
   uint64_t batch_blocks = 0;
-  /// Discovery units executed by the compiled-plan pipeline this round.
+  /// Discovery units whose rows came from the compiled-plan kernel.
   uint64_t plan_units = 0;
-  /// Discovery units that ran the backtracking search instead: units of
-  /// non-plannable rules, or — when a discovery cap bound mid-round —
-  /// every unit of the round (cap-adjacent rounds re-run on the legacy
-  /// path wholesale so capped runs stay bit-identical).
+  /// Discovery units whose rows came from the backtracking search: the
+  /// units of rules whose body is too wide to plan.
   uint64_t fallback_units = 0;
-  /// Binding rows the plan units materialized (pre-dedup homomorphisms
-  /// that flowed through columnar segments instead of callbacks).
+  /// Binding rows the merged units materialized (pre-dedup
+  /// homomorphisms).
   uint64_t binding_rows = 0;
 };
 
@@ -313,7 +294,8 @@ struct ChaseStats {
   uint32_t discovery_threads = 1;            ///< Effective worker count.
   uint64_t parallel_rounds = 0;              ///< Rounds using the pool.
   /// Rules whose body compiled to a usable join plan (bodies of at most
-  /// two conjuncts; see JoinPlanSet). Reported even with join_plans off.
+  /// two conjuncts; see JoinPlanSet). Their discovery units run the plan
+  /// kernel; every other rule's units run the backtracking search.
   uint32_t plannable_rules = 0;
   /// Wall time of terminal discovery passes that produced no per-round
   /// entry — the empty pass that proves termination, or an aborted one.
@@ -348,8 +330,10 @@ struct ChaseStats {
 /// The engine uses round-based semi-naive trigger discovery: in each round
 /// it enumerates homomorphisms that touch at least one atom added in the
 /// previous round (pivot decomposition), filters them through the
-/// variant's dedup key, and applies the survivors FIFO. This realizes the
-/// fairness condition of the chase definition.
+/// variant's dedup key, and applies the survivors in the configured
+/// order. This realizes the fairness condition of the chase definition.
+/// fuzz/reference_chase.h restates these semantics naively; the two are
+/// kept bit-identical by the fuzz oracles.
 class EdbDatabase;
 struct Vocabulary;
 
@@ -404,9 +388,11 @@ class ChaseRun {
 
   /// Variant-specific dedup key: rule id followed by the raw images of the
   /// relevant variables (all universals for oblivious, frontier otherwise).
-  /// Exposed for the termination deciders' pump-replay verification.
+  /// `images` holds one term per rule variable (a Binding's data() or a
+  /// BindingSegment row). Exposed for the termination deciders'
+  /// pump-replay verification.
   std::vector<uint32_t> TriggerKey(uint32_t rule_index,
-                                   const Binding& binding) const;
+                                   const Term* images) const;
 
   /// True if a trigger with this key has already been applied (or marked
   /// satisfied, for the restricted variant).
@@ -435,26 +421,34 @@ class ChaseRun {
   };
 
   /// Governed head-satisfaction check: true iff the rule head, under the
-  /// frontier part of `binding`, already maps into the instance. Shared
-  /// by the batch and per-trigger paths so join-work accounting and abort
-  /// points are identical. Checkpoints at FaultSite::kHeadCheck on entry
-  /// and threads the governor + join budget into the search; full rules
-  /// take a ground fast path (one dedup probe per head atom, counted as
-  /// one join-work visit each).
+  /// frontier part of `binding`, already maps into the instance.
+  /// Checkpoints at FaultSite::kHeadCheck on entry and threads the
+  /// governor + join budget into the search; full rules take a ground
+  /// fast path (one dedup probe per head atom, counted as one join-work
+  /// visit each).
   HeadCheck CheckHeadSatisfied(const Tgd& rule, const Binding& binding,
                                ChaseOutcome* outcome);
 
-  /// Applies one trigger; returns false if a resource cap was hit.
-  bool ApplyTrigger(uint32_t rule_index, const Binding& binding,
-                    const AtomObserver& observer, ChaseOutcome* outcome);
-
-  /// Set-at-a-time application of a round's pending triggers (defined in
-  /// batch_apply.cc; see HeadBlock). Semantically bit-identical to the
-  /// per-trigger loop: same checkpoints, same cap trip points, same atom
-  /// ids, same counters. Returns false when the run must stop, with
-  /// *outcome set; staged atoms are always flushed before returning.
+  /// Applies a round's pending triggers in order (defined in
+  /// batch_apply.cc; see HeadBlock). Head atoms are staged and bulk
+  /// flushed, except in provenance and observer runs and next to the
+  /// atom cap, where they are inserted one by one. Returns false when the
+  /// run must stop, with *outcome set; staged atoms are always flushed
+  /// before returning.
   bool ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
-                         RoundStats* round, ChaseOutcome* outcome);
+                         const AtomObserver& observer, RoundStats* round,
+                         ChaseOutcome* outcome);
+
+  /// Inserts `head` under extended_scratch_ straight into the instance.
+  std::pair<AtomId, bool> InsertHeadAtom(const Atom& head);
+
+  /// The provenance/observer half of ApplyPendingBatch for one trigger
+  /// already counted as applied (its nulls in extended_scratch_): inserts
+  /// each head atom directly, writes its provenance and trigger record,
+  /// then hands the new atom ids to `observer`. Returns false on an atom
+  /// cap trip or an observer abort, with *outcome set.
+  bool ApplyDirect(const PendingTrigger& trigger, const AtomObserver& observer,
+                   ChaseOutcome* outcome);
 
   /// True if the run must stop here: consults the fault injector (when
   /// set) and then the governor, writing the abort outcome to *outcome.
@@ -467,8 +461,7 @@ class ChaseRun {
   /// GovernorStop(FaultSite::kAllocation, alloc_checks_++), but
   /// additionally denies the growth when charging `projected_bytes` more
   /// would cross the budget's hard limit (kMemoryBudgetExceeded before
-  /// the memory is committed). Bumps the shared ordinal counter, so the
-  /// batch and per-trigger paths see identical ordinals.
+  /// the memory is committed).
   bool AllocationStop(uint64_t projected_bytes, ChaseOutcome* outcome);
 
   /// The body of Execute(); the public wrapper adds the bad_alloc
@@ -478,37 +471,17 @@ class ChaseRun {
   /// One round of semi-naive trigger discovery: every homomorphism whose
   /// image touches an atom with id >= `watermark`, deduplicated through
   /// applied_keys_, in deterministic (rule, pivot, discovery) order.
-  /// Dispatches to the serial or parallel engine per discovery_threads;
-  /// both produce identical results. Sets *capped when a discovery cap
-  /// was hit (results may then be incomplete); sets *stopped and
-  /// *stop_outcome when the governor or fault injector tripped mid-phase
-  /// (the returned triggers are then partial and must not be applied).
+  /// Each (rule, pivot) unit writes its rows into a BindingSegment — via
+  /// the compiled plan for bodies of at most two conjuncts, via the
+  /// backtracking search otherwise — inline or on the pool per
+  /// discovery_threads; the rows then merge in unit order. Sets *capped
+  /// when a discovery cap was hit (results may then be incomplete); sets
+  /// *stopped and *stop_outcome when the governor or fault injector
+  /// tripped mid-phase (the returned triggers are then partial and must
+  /// not be applied).
   std::vector<PendingTrigger> DiscoverTriggers(AtomId watermark, bool* capped,
                                                bool* stopped,
                                                ChaseOutcome* stop_outcome);
-  std::vector<PendingTrigger> DiscoverSerial(AtomId watermark, bool* capped,
-                                             bool* stopped,
-                                             ChaseOutcome* stop_outcome);
-  std::vector<PendingTrigger> DiscoverParallel(AtomId watermark, bool* capped,
-                                               bool* stopped,
-                                               ChaseOutcome* stop_outcome,
-                                               uint32_t num_threads);
-  /// Compiled-plan engine: plannable rules run the set-at-a-time
-  /// PlanExecutor per (rule, pivot) unit, non-plannable rules run the
-  /// backtracking search into per-unit buffers; `num_threads` == 1 runs
-  /// the units inline, > 1 fans them out over the pool. Candidates merge
-  /// deterministically in unit order. Rounds where any discovery cap
-  /// binds are re-run wholesale through DiscoverSerial so cap-adjacent
-  /// behavior stays bit-identical with plans off.
-  std::vector<PendingTrigger> DiscoverPlanned(AtomId watermark, bool* capped,
-                                              bool* stopped,
-                                              ChaseOutcome* stop_outcome,
-                                              uint32_t num_threads);
-
-  /// TriggerKey over a columnar binding row (width = the rule's variable
-  /// count) instead of a Binding vector.
-  std::vector<uint32_t> TriggerKeyRow(uint32_t rule_index,
-                                      const Term* row) const;
 
   /// Estimated join work for this round's discovery pass: for each
   /// (rule, pivot) unit, delta cardinality of the pivot predicate times
@@ -548,12 +521,10 @@ class ChaseRun {
   /// every parallel round reuses the same parked workers.
   std::shared_ptr<ThreadPool> owned_pool_;
 
-  /// Compiled once at construction from rules_; execution is gated by
-  /// options_.join_plans, compilation is not (it is cheap and lets stats
-  /// report plannability either way).
+  /// Compiled once at construction from rules_.
   JoinPlanSet plans_;
   /// Per-rule first-conjunct choice for the current round (kNoRule for
-  /// rules without a plan); recomputed by DiscoverPlanned each round.
+  /// rules without a plan); recomputed by DiscoverTriggers each round.
   std::vector<uint32_t> round_first_;
 
   /// Scratch written by DiscoverTriggers, folded into the round's stats
@@ -580,6 +551,7 @@ class ChaseRun {
   Binding extended_scratch_;
   Binding frontier_scratch_;
   std::vector<Term> head_scratch_;
+  std::vector<AtomId> new_atoms_scratch_;
   HeadBlock batch_block_;
   /// Next labeled-null id. 64-bit so the max_nulls comparison cannot wrap
   /// (a 32-bit counter would silently recycle ids past 2^32).

@@ -19,11 +19,12 @@ namespace gchase {
 /// and which positions can seed an index probe. Execution is then a flat
 /// columnar pipeline (see PlanExecutor) instead of a recursive search.
 ///
-/// Bit-identity contract. The plan path must produce the same trigger
-/// sequence, instance and join-work accounting as the backtracking
-/// engine, because the two are cross-checked by the fuzz oracles and the
-/// chase's restricted variant is order-sensitive. Two facts make that
-/// possible without simulating the search:
+/// Bit-identity contract. A plan unit must produce the same rows, in the
+/// same order, at the same join work as the backtracking search over the
+/// same unit, because the reference chase (fuzz/reference_chase.h)
+/// enumerates with that search and the chase's restricted variant is
+/// order-sensitive. Two facts make that possible without simulating the
+/// search:
 ///
 ///  1. For a fixed conjunct order, the sequence of complete matches is
 ///     the id-lexicographic order of the matched atoms — independent of

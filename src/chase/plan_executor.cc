@@ -10,7 +10,7 @@ namespace gchase {
 namespace {
 
 /// The semi-naive range of a conjunct in a (rule, pivot) discovery unit —
-/// identical to the ranges the serial engine assigns before each search.
+/// identical to the ranges a backtracking search unit is given.
 MatchRange RangeFor(uint32_t conjunct, uint32_t pivot) {
   if (conjunct < pivot) return MatchRange::kOldOnly;
   if (conjunct == pivot) return MatchRange::kDeltaOnly;

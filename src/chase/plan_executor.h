@@ -89,8 +89,8 @@ class PlanExecutor {
   /// backtracking engine's units: for every node (seed scan or extension
   /// row) the *unclipped* length of the most selective posting list, i.e.
   /// exactly the candidates the backtracking search would have visited —
-  /// so plan-on and plan-off runs account identical join work, and the
-  /// cap-adjacency fallback can compare against max_join_work exactly.
+  /// so plan units and search units account join work alike, and the
+  /// capped-round check compares like with like.
   struct UnitStatus {
     uint64_t charge = 0;
     uint64_t rows = 0;  ///< Complete bindings materialized.
@@ -107,8 +107,8 @@ class PlanExecutor {
   /// chosen conjunct order. `first` is this round's depth-zero conjunct
   /// choice (from ChooseFirstConjunct). Stops early once `charge` would
   /// exceed `max_charge` or `rows` reaches `found_cap` (budget_exhausted;
-  /// results are then partial and the caller must discard them — capped
-  /// rounds re-run on the backtracking path), or when the governor trips.
+  /// `*out` then holds a prefix of the unit's rows), or when the governor
+  /// trips.
   /// `scratch` is reused across units to keep steady-state execution
   /// allocation-free; the caller provides one per worker.
   UnitStatus ExecuteUnit(const RuleJoinPlan& plan, uint32_t pivot,

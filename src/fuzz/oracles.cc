@@ -1,6 +1,7 @@
 #include "fuzz/oracles.h"
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -9,6 +10,7 @@
 
 #include "acyclicity/dependency_graph.h"
 #include "chase/chase.h"
+#include "fuzz/reference_chase.h"
 #include "storage/homomorphism.h"
 #include "storage/io.h"
 #include "termination/critical_instance.h"
@@ -181,147 +183,108 @@ std::optional<bool> MapsInto(const Instance& from, const Instance& to,
   return false;
 }
 
-/// Bit-identity comparison for two runs of the same (Σ, D, options)
-/// under different engine strategies: same outcome, same counters (modulo
-/// strategy-only RoundStats fields and wall times), same per-rule and
-/// per-round stats, same instance atom for atom, id for id. Returns a
+/// Bit-identity comparison for two runs of the same (Σ, D, options):
+/// same outcome, same counters, same per-rule and per-round stats, same
+/// instance atom for atom, id for id. join_work is compared only when
+/// both runs metered it (the reference chase does not). Returns a
 /// non-empty diff description on mismatch, "" when identical (or when a
 /// wall-clock abort made the pair incomparable — deterministic abort
 /// regimes are pinned by the fault-injection tests instead).
-std::string TwinDiff(const ChaseResult& batch, const ChaseResult& single) {
-  if (Aborted(batch.outcome) || Aborted(single.outcome)) return "";
-  if (batch.outcome != single.outcome) {
-    return std::string("outcome ") + ChaseOutcomeName(batch.outcome) +
-           " vs " + ChaseOutcomeName(single.outcome);
+std::string TwinDiff(const ChaseResult& left, const ChaseResult& right,
+                     bool compare_join_work) {
+  if (Aborted(left.outcome) || Aborted(right.outcome)) return "";
+  if (left.outcome != right.outcome) {
+    return std::string("outcome ") + ChaseOutcomeName(left.outcome) + " vs " +
+           ChaseOutcomeName(right.outcome);
   }
-  if (batch.applied_triggers != single.applied_triggers ||
-      batch.rounds != single.rounds ||
-      batch.nulls_created != single.nulls_created ||
-      batch.hom_discoveries != single.hom_discoveries ||
-      batch.join_work != single.join_work) {
+  if (left.applied_triggers != right.applied_triggers ||
+      left.rounds != right.rounds ||
+      left.nulls_created != right.nulls_created ||
+      left.hom_discoveries != right.hom_discoveries ||
+      (compare_join_work && left.join_work != right.join_work)) {
     return "run counters differ (applied " +
-           std::to_string(batch.applied_triggers) + " vs " +
-           std::to_string(single.applied_triggers) + ", rounds " +
-           std::to_string(batch.rounds) + " vs " +
-           std::to_string(single.rounds) + ", nulls " +
-           std::to_string(batch.nulls_created) + " vs " +
-           std::to_string(single.nulls_created) + ", homs " +
-           std::to_string(batch.hom_discoveries) + " vs " +
-           std::to_string(single.hom_discoveries) + ", join work " +
-           std::to_string(batch.join_work) + " vs " +
-           std::to_string(single.join_work) + ")";
+           std::to_string(left.applied_triggers) + " vs " +
+           std::to_string(right.applied_triggers) + ", rounds " +
+           std::to_string(left.rounds) + " vs " +
+           std::to_string(right.rounds) + ", nulls " +
+           std::to_string(left.nulls_created) + " vs " +
+           std::to_string(right.nulls_created) + ", homs " +
+           std::to_string(left.hom_discoveries) + " vs " +
+           std::to_string(right.hom_discoveries) + ", join work " +
+           std::to_string(left.join_work) + " vs " +
+           std::to_string(right.join_work) + ")";
   }
-  for (std::size_t r = 0; r < batch.stats.per_rule.size(); ++r) {
-    const RuleStats& a = batch.stats.per_rule[r];
-    const RuleStats& b = single.stats.per_rule[r];
+  for (std::size_t r = 0; r < left.stats.per_rule.size(); ++r) {
+    const RuleStats& a = left.stats.per_rule[r];
+    const RuleStats& b = right.stats.per_rule[r];
     if (a.discovered != b.discovered || a.applied != b.applied ||
         a.skipped_satisfied != b.skipped_satisfied) {
       return "per-rule stats differ at rule " + std::to_string(r);
     }
   }
-  if (batch.stats.per_round.size() != single.stats.per_round.size()) {
+  if (left.stats.per_round.size() != right.stats.per_round.size()) {
     return "per-round stats lengths differ";
   }
-  for (std::size_t r = 0; r < batch.stats.per_round.size(); ++r) {
-    const RoundStats& a = batch.stats.per_round[r];
-    const RoundStats& b = single.stats.per_round[r];
+  for (std::size_t r = 0; r < left.stats.per_round.size(); ++r) {
+    const RoundStats& a = left.stats.per_round[r];
+    const RoundStats& b = right.stats.per_round[r];
     if (a.delta_atoms != b.delta_atoms || a.candidates != b.candidates ||
         a.applied != b.applied) {
       return "per-round stats differ at round " + std::to_string(r);
     }
   }
   std::string why;
-  if (!InstancesIdentical(batch.instance, single.instance, &why)) return why;
+  if (!InstancesIdentical(left.instance, right.instance, &why)) return why;
   return "";
 }
 
-/// Differential twin for the set-at-a-time executor: runs `chase_options`
-/// once with batch apply and once per-trigger, and demands bit-identity.
-std::string BatchTwinDiff(const FuzzCase& fuzz_case,
-                          ChaseOptions chase_options) {
-  chase_options.batch_apply = true;
-  ChaseResult batch =
+/// Differential twin against the reference chase: runs `chase_options`
+/// through the engine and through RunReferenceChase and demands
+/// bit-identity. The reference meters no join work, so both runs drop
+/// the join-work cap; the deadline still bounds them.
+std::string ReferenceTwinDiff(const FuzzCase& fuzz_case,
+                              ChaseOptions chase_options) {
+  chase_options.max_join_work = std::numeric_limits<uint64_t>::max();
+  ChaseResult engine =
       RunChase(fuzz_case.rules, chase_options, fuzz_case.database);
-  chase_options.batch_apply = false;
-  ChaseResult single =
-      RunChase(fuzz_case.rules, chase_options, fuzz_case.database);
-  return TwinDiff(batch, single);
+  ChaseResult reference =
+      RunReferenceChase(fuzz_case.rules, chase_options, fuzz_case.database);
+  return TwinDiff(engine, reference, /*compare_join_work=*/false);
 }
 
-/// Differential twin for the compiled-plan discovery engine: runs
-/// `chase_options` once with join plans and once with the backtracking
-/// search, and demands bit-identity. The plan executor's contract is
-/// exact join-work parity (it charges unclipped list lengths), so the
-/// comparison includes join_work even under cap-adjacent rounds — those
-/// fall back to a wholesale legacy rerun by design.
-std::string PlanTwinDiff(const FuzzCase& fuzz_case,
-                         ChaseOptions chase_options) {
-  chase_options.join_plans = true;
-  ChaseResult planned =
-      RunChase(fuzz_case.rules, chase_options, fuzz_case.database);
-  chase_options.join_plans = false;
-  ChaseResult legacy =
-      RunChase(fuzz_case.rules, chase_options, fuzz_case.database);
-  return TwinDiff(planned, legacy);
-}
-
-/// PlanTwinDiff across cap regimes tightened around the base run's own
-/// footprint: the join-work cap (where cap-adjacent plan rounds must fall
-/// back to the serial search), the hom-discovery cap and the step cap.
-std::string PlanTwinDiffAllRegimes(const FuzzCase& fuzz_case,
-                                   const ChaseOptions& chase_options,
-                                   const ChaseResult& base) {
-  std::string diff = PlanTwinDiff(fuzz_case, chase_options);
-  if (!diff.empty()) return "uncapped: " + diff;
-  if (base.join_work > 1) {
-    ChaseOptions tight = chase_options;
-    tight.max_join_work = base.join_work / 2;
-    diff = PlanTwinDiff(fuzz_case, tight);
-    if (!diff.empty()) return "join-work-capped: " + diff;
-  }
-  if (base.hom_discoveries > 1) {
-    ChaseOptions tight = chase_options;
-    tight.max_hom_discoveries = base.hom_discoveries / 2;
-    diff = PlanTwinDiff(fuzz_case, tight);
-    if (!diff.empty()) return "hom-capped: " + diff;
-  }
-  if (base.applied_triggers > 1) {
-    ChaseOptions tight = chase_options;
-    tight.max_steps = base.applied_triggers / 2;
-    diff = PlanTwinDiff(fuzz_case, tight);
-    if (!diff.empty()) return "step-capped: " + diff;
-  }
-  return "";
-}
-
-/// BatchTwinDiff across cap regimes: uncapped (well, the oracle's ambient
-/// caps) plus regimes tightened around the base run's own footprint so a
-/// cap provably binds mid-run — the step cap, the atom cap and the null
-/// cap each get a twin pair. Cap trips are where the batch path's flush
-/// bookkeeping is subtlest, so they get explicit coverage.
-std::string BatchTwinDiffAllRegimes(const FuzzCase& fuzz_case,
-                                    const ChaseOptions& chase_options,
-                                    const ChaseResult& base) {
-  std::string diff = BatchTwinDiff(fuzz_case, chase_options);
+/// ReferenceTwinDiff across cap regimes: the options as given plus
+/// regimes tightened around the base run's own footprint so a cap
+/// provably binds mid-run — the step, atom, null and hom-discovery caps
+/// each get a twin pair. Cap trips are where discovery's capped rerun and
+/// the apply path's flush bookkeeping are subtlest.
+std::string ReferenceTwinDiffAllRegimes(const FuzzCase& fuzz_case,
+                                        const ChaseOptions& chase_options,
+                                        const ChaseResult& base) {
+  std::string diff = ReferenceTwinDiff(fuzz_case, chase_options);
   if (!diff.empty()) return "uncapped: " + diff;
   if (base.applied_triggers > 1) {
     ChaseOptions tight = chase_options;
     tight.max_steps = base.applied_triggers / 2;
-    diff = BatchTwinDiff(fuzz_case, tight);
+    diff = ReferenceTwinDiff(fuzz_case, tight);
     if (!diff.empty()) return "step-capped: " + diff;
   }
   if (base.instance.size() > static_cast<uint32_t>(fuzz_case.database.size())) {
     ChaseOptions tight = chase_options;
-    tight.max_atoms =
-        (fuzz_case.database.size() + base.instance.size()) / 2;
-    diff = BatchTwinDiff(fuzz_case, tight);
+    tight.max_atoms = (fuzz_case.database.size() + base.instance.size()) / 2;
+    diff = ReferenceTwinDiff(fuzz_case, tight);
     if (!diff.empty()) return "atom-capped: " + diff;
   }
   if (base.nulls_created > 1) {
     ChaseOptions tight = chase_options;
     tight.max_nulls = base.nulls_created / 2;
-    diff = BatchTwinDiff(fuzz_case, tight);
+    diff = ReferenceTwinDiff(fuzz_case, tight);
     if (!diff.empty()) return "null-capped: " + diff;
+  }
+  if (base.hom_discoveries > 1) {
+    ChaseOptions tight = chase_options;
+    tight.max_hom_discoveries = base.hom_discoveries / 2;
+    diff = ReferenceTwinDiff(fuzz_case, tight);
+    if (!diff.empty()) return "hom-capped: " + diff;
   }
   return "";
 }
@@ -542,28 +505,16 @@ OracleResult CheckParallelDeterminism(const FuzzCase& fuzz_case,
   if (Aborted(base.outcome)) {
     return Inconclusive("serial run aborted by governor");
   }
-  // The serial engine itself has two execution strategies now: batch
-  // (set-at-a-time) and per-trigger apply. Pin their bit-identity here,
-  // across cap regimes, before comparing thread counts — a parallel run
-  // compared against a drifting serial baseline proves nothing.
-  const std::string batch_diff =
-      BatchTwinDiffAllRegimes(fuzz_case, serial, base);
-  if (!batch_diff.empty()) {
+  // Pin the serial engine against the reference chase, across cap
+  // regimes, before comparing thread counts — a parallel run compared
+  // against a drifting serial baseline proves nothing.
+  const std::string reference_diff =
+      ReferenceTwinDiffAllRegimes(fuzz_case, serial, base);
+  if (!reference_diff.empty()) {
     return Violation(
-        "batch apply is not bit-identical to per-trigger apply (serial, "
+        "the engine is not bit-identical to the reference chase (serial, "
         "restricted): " +
-        batch_diff);
-  }
-  // Same for the discovery strategies: the compiled-plan executor must be
-  // bit-identical to the backtracking search — including join_work, so
-  // cap-adjacent regimes (where planned rounds fall back to a wholesale
-  // serial rerun) are exercised explicitly.
-  const std::string plan_diff = PlanTwinDiffAllRegimes(fuzz_case, serial, base);
-  if (!plan_diff.empty()) {
-    return Violation(
-        "compiled join plans are not bit-identical to backtracking "
-        "discovery (serial, restricted): " +
-        plan_diff);
+        reference_diff);
   }
   for (uint32_t threads : options.thread_counts) {
     ChaseOptions parallel = serial;
@@ -585,14 +536,33 @@ OracleResult CheckParallelDeterminism(const FuzzCase& fuzz_case,
       return Violation("parallel discovery at " + std::to_string(threads) +
                        " threads is not bit-identical to serial: " + why);
     }
-    // Plan-on vs plan-off under the parallel engine as well — the merge
-    // order and fallback policy must not depend on the thread count.
-    const std::string parallel_plan_diff = PlanTwinDiff(fuzz_case, parallel);
-    if (!parallel_plan_diff.empty()) {
-      return Violation("compiled join plans are not bit-identical to "
-                       "backtracking discovery at " +
-                       std::to_string(threads) +
-                       " threads: " + parallel_plan_diff);
+    // Against the reference as well — the merge order and the capped
+    // rerun must not depend on the thread count.
+    const std::string parallel_diff = ReferenceTwinDiff(fuzz_case, parallel);
+    if (!parallel_diff.empty()) {
+      return Violation("the engine at " + std::to_string(threads) +
+                       " threads is not bit-identical to the reference "
+                       "chase: " +
+                       parallel_diff);
+    }
+    // The reference meters no join work, so a join-work-capped run is
+    // pinned against the one engine at one thread instead, join_work
+    // included.
+    if (base.join_work > 1) {
+      ChaseOptions tight = serial;
+      tight.max_join_work = base.join_work / 2;
+      ChaseResult one = RunChase(fuzz_case.rules, tight, fuzz_case.database);
+      tight.discovery_threads = threads;
+      tight.parallel_cutover_work = 0;
+      ChaseResult many = RunChase(fuzz_case.rules, tight, fuzz_case.database);
+      const std::string capped_diff =
+          TwinDiff(one, many, /*compare_join_work=*/true);
+      if (!capped_diff.empty()) {
+        return Violation("join-work-capped discovery at " +
+                         std::to_string(threads) +
+                         " threads is not bit-identical to 1 thread: " +
+                         capped_diff);
+      }
     }
   }
   return Pass();
@@ -694,7 +664,7 @@ OracleResult CheckOrderEquivalence(const FuzzCase& fuzz_case,
     // probe — so this is not a violation).
   }
 
-  // Batch-vs-per-trigger bit-identity across the full (variant, order)
+  // Engine-vs-reference bit-identity across the full (variant, order)
   // grid. Restricted is the order-sensitive — and flush-sensitive — case;
   // (semi-)oblivious rounds batch whole rounds and are covered for the
   // segmented-flush and contiguous-null-range behavior.
@@ -706,20 +676,12 @@ OracleResult CheckOrderEquivalence(const FuzzCase& fuzz_case,
       chase_options.order = run.order;
       chase_options.order_seed =
           SplitMix64(fuzz_case.seed ^ SplitMix64(fuzz_case.trial));
-      const std::string diff = BatchTwinDiff(fuzz_case, chase_options);
+      const std::string diff = ReferenceTwinDiff(fuzz_case, chase_options);
       if (!diff.empty()) {
-        return Violation(std::string("batch apply is not bit-identical to "
-                                     "per-trigger apply (") +
+        return Violation(std::string("the engine is not bit-identical to the "
+                                     "reference chase (") +
                          ChaseVariantName(variant) + ", order " + run.name +
                          "): " + diff);
-      }
-      const std::string plan_diff = PlanTwinDiff(fuzz_case, chase_options);
-      if (!plan_diff.empty()) {
-        return Violation(std::string("compiled join plans are not "
-                                     "bit-identical to backtracking "
-                                     "discovery (") +
-                         ChaseVariantName(variant) + ", order " + run.name +
-                         "): " + plan_diff);
       }
     }
   }
@@ -755,16 +717,13 @@ OracleResult CheckMemoryCapTwin(const FuzzCase& fuzz_case,
                                 const OracleOptions& options) {
   struct Engine {
     const char* name;
-    bool batch_apply;
     uint32_t threads;
   };
-  // kAllocation ordinals are defined to be identical across the batch and
-  // per-trigger executors and across thread counts, so the same target
-  // ordinal must stop all three engines at the same committed prefix.
-  const Engine engines[3] = {
-      {"serial-batch", true, 1},
-      {"serial-per-trigger", false, 1},
-      {"parallel-batch", true, 2},
+  // kAllocation ordinals do not depend on the thread count, so the same
+  // target ordinal must stop both at the same committed prefix.
+  const Engine engines[2] = {
+      {"serial", 1},
+      {"parallel", 2},
   };
 
   bool inconclusive = false;
@@ -800,7 +759,6 @@ OracleResult CheckMemoryCapTwin(const FuzzCase& fuzz_case,
       for (uint64_t target : targets) {
         auto fired = std::make_shared<std::atomic<bool>>(false);
         ChaseOptions capped = base_options;
-        capped.batch_apply = engine.batch_apply;
         capped.discovery_threads = engine.threads;
         if (engine.threads > 1) capped.parallel_cutover_work = 0;
         capped.fault_injector = [fired, target](FaultSite site,

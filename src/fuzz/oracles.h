@@ -33,16 +33,13 @@ enum class OracleId : uint32_t {
   /// critical-instance probe exactly. On every class RA/WA remain sound
   /// (acyclic ⇒ terminating), which is checked too.
   kSyntacticVsDecider = 2,
-  /// Engine metamorphic: parallel trigger discovery is bit-identical to
-  /// serial at every thread count (same outcome, same trigger sequence,
-  /// same instance, atom by atom). Also pins the serial baseline itself:
-  /// batch (set-at-a-time) apply must be bit-identical to per-trigger
-  /// apply, uncapped and under step/atom/null cap regimes tightened
-  /// around the base run's own footprint; and compiled-plan discovery
-  /// must be bit-identical to the backtracking search — join_work
-  /// included — uncapped, under join-work/hom/step cap regimes (where
-  /// cap-adjacent plan rounds fall back to a legacy rerun), and under
-  /// the parallel engine at every thread count.
+  /// Engine vs reference: the engine is bit-identical to the reference
+  /// chase (fuzz/reference_chase.h) — same outcome, instance atom by atom,
+  /// counters, per-rule and per-round stats — uncapped and under
+  /// step/atom/null/hom cap regimes tightened around the base run's own
+  /// footprint, at one thread and at every parallel thread count.
+  /// Join-work-capped runs, which the reference does not meter, must be
+  /// bit-identical across thread counts, join_work included.
   kParallelDeterminism = 3,
   /// Engine metamorphic: a chase result round-trips through storage/io
   /// (write → parse → atom-for-atom correspondence, nulls mapped to
@@ -51,13 +48,12 @@ enum class OracleId : uint32_t {
   /// Engine metamorphic: restricted-chase results under different fair
   /// trigger orders are homomorphically equivalent whenever both orders
   /// terminate (each result is a universal model of (Σ, D)). Also pins
-  /// batch-vs-per-trigger and plan-on-vs-plan-off bit-identity across the
-  /// full variant × order grid (counters, per-rule/per-round stats,
-  /// instance ids).
+  /// engine-vs-reference bit-identity across the full variant × order
+  /// grid (counters, per-rule/per-round stats, instance ids).
   kOrderEquivalence = 5,
   /// Engine metamorphic: memory governance never corrupts a run. Per
   /// variant, against an uncapped base run: (a) an injected memory-budget
-  /// fault at every kAllocation ordinal — serial and parallel — stops the
+  /// fault at sampled kAllocation ordinals — serial and parallel — stops the
   /// run with kMemoryBudgetExceeded and an instance that is a bit-exact
   /// prefix of the base (ordinals past the run's last checkpoint must
   /// leave it identical to the base instead); (b) a run under a real byte

@@ -142,8 +142,8 @@ class Tracer {
     /// Soft event capacity per recording thread.
     std::size_t buffer_capacity = std::size_t{1} << 14;
     /// Threshold-gated spans (TracePhase::kComplete) shorter than this
-    /// are not recorded; keeps per-trigger instrumentation out of the
-    /// buffer unless a trigger is actually slow.
+    /// are not recorded; keeps fine-grained instrumentation out of the
+    /// buffer unless the span it reports is actually slow.
     uint64_t complete_threshold_ns = 100'000;
   };
 

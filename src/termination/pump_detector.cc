@@ -169,9 +169,9 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
     }
 
     std::vector<uint32_t> image_key =
-        run_.TriggerKey(trigger.rule, image_binding);
+        run_.TriggerKey(trigger.rule, image_binding.data());
     std::vector<uint32_t> original_key =
-        run_.TriggerKey(trigger.rule, trigger.binding);
+        run_.TriggerKey(trigger.rule, trigger.binding.data());
 
     if (image_key == original_key) {
       // Verbatim no-op: outputs already exist; created nulls map to

@@ -1,7 +1,8 @@
-// Tests for the set-at-a-time batch executor (chase/batch_apply.{h,cc}):
-// bit-identity against the per-trigger path across the variant x order x
-// cap-regime grid, the restricted-chase flush-before-head-check ordering,
-// HeadBlock segment mechanics, and the governed head-satisfaction check
+// Tests for the apply path (chase/batch_apply.{h,cc}): bit-identity with
+// the reference chase across the variant x order x cap-regime grid, for
+// both the staged bulk flush and the direct insertion that provenance
+// runs use; the restricted-chase flush-before-head-check ordering;
+// HeadBlock segment mechanics; and the governed head-satisfaction check
 // (deterministic fault injection + a wall-clock adversarial head join).
 
 #include "chase/batch_apply.h"
@@ -12,90 +13,34 @@
 #include "chase/chase.h"
 #include "gtest/gtest.h"
 #include "storage/instance.h"
+#include "tests/reference_twin.h"
 #include "tests/test_util.h"
 
 namespace gchase {
 namespace {
 
 // -------------------------------------------------------------------------
-// Bit-identity: batch vs per-trigger over variants, orders, cap regimes.
+// Bit-identity: engine vs reference over variants, orders, cap regimes.
 
-struct TwinRun {
-  ChaseOutcome outcome;
-  std::vector<Atom> atoms;
-  uint64_t applied = 0;
-  uint64_t rounds = 0;
-  uint64_t nulls = 0;
-  uint64_t hom_discoveries = 0;
-  uint64_t join_work = 0;
-  std::vector<RuleStats> per_rule;
-  std::vector<RoundStats> per_round;
-};
-
-TwinRun RunTwin(const ParsedProgram& program, ChaseOptions options,
-                bool batch) {
-  options.batch_apply = batch;
-  ChaseRun run(program.rules, options, program.facts);
-  TwinRun result;
-  result.outcome = run.Execute();
-  result.atoms = run.instance().MaterializeAtoms();
-  result.applied = run.applied_triggers();
-  result.rounds = run.rounds();
-  result.nulls = run.nulls_created();
-  result.hom_discoveries = run.hom_discoveries();
-  result.join_work = run.join_work();
-  result.per_rule = run.stats().per_rule;
-  result.per_round = run.stats().per_round;
-  return result;
-}
-
-/// Asserts full bit-identity of a batch run against its per-trigger twin
-/// (everything the determinism contract pins; batch-only counters and
-/// wall times excluded).
-void ExpectTwinsIdentical(const ParsedProgram& program,
-                          const ChaseOptions& options,
+/// Asserts full bit-identity of the engine against the reference chase,
+/// once staging head atoms for a bulk flush and once inserting them
+/// directly (the provenance mode), and that every applied trigger went
+/// through the one apply path.
+void ExpectTwinsIdentical(const ParsedProgram& program, ChaseOptions options,
                           const std::string& context) {
-  TwinRun batch = RunTwin(program, options, true);
-  TwinRun per_trigger = RunTwin(program, options, false);
-  EXPECT_EQ(batch.outcome, per_trigger.outcome) << context;
-  EXPECT_EQ(batch.applied, per_trigger.applied) << context;
-  EXPECT_EQ(batch.rounds, per_trigger.rounds) << context;
-  EXPECT_EQ(batch.nulls, per_trigger.nulls) << context;
-  EXPECT_EQ(batch.hom_discoveries, per_trigger.hom_discoveries) << context;
-  EXPECT_EQ(batch.join_work, per_trigger.join_work) << context;
-  ASSERT_EQ(batch.atoms.size(), per_trigger.atoms.size()) << context;
-  for (std::size_t i = 0; i < batch.atoms.size(); ++i) {
-    ASSERT_TRUE(batch.atoms[i] == per_trigger.atoms[i])
-        << context << " atom " << i;
-  }
-  ASSERT_EQ(batch.per_rule.size(), per_trigger.per_rule.size()) << context;
-  for (std::size_t r = 0; r < batch.per_rule.size(); ++r) {
-    EXPECT_EQ(batch.per_rule[r].discovered,
-              per_trigger.per_rule[r].discovered)
-        << context << " rule " << r;
-    EXPECT_EQ(batch.per_rule[r].applied, per_trigger.per_rule[r].applied)
-        << context << " rule " << r;
-    EXPECT_EQ(batch.per_rule[r].skipped_satisfied,
-              per_trigger.per_rule[r].skipped_satisfied)
-        << context << " rule " << r;
-  }
-  ASSERT_EQ(batch.per_round.size(), per_trigger.per_round.size()) << context;
-  for (std::size_t i = 0; i < batch.per_round.size(); ++i) {
-    EXPECT_EQ(batch.per_round[i].delta_atoms,
-              per_trigger.per_round[i].delta_atoms)
-        << context << " round " << i;
-    EXPECT_EQ(batch.per_round[i].candidates,
-              per_trigger.per_round[i].candidates)
-        << context << " round " << i;
-    EXPECT_EQ(batch.per_round[i].applied, per_trigger.per_round[i].applied)
-        << context << " round " << i;
-    // Per-trigger rounds never report batch activity; batch rounds batch
-    // every applied trigger.
-    EXPECT_EQ(per_trigger.per_round[i].batched_triggers, 0u)
-        << context << " round " << i;
-    EXPECT_EQ(batch.per_round[i].batched_triggers,
-              batch.per_round[i].applied)
-        << context << " round " << i;
+  for (bool provenance : {false, true}) {
+    options.track_provenance = provenance;
+    const std::string where =
+        context + (provenance ? " (direct)" : " (staged)");
+    const ChaseResult engine = ExpectMatchesReference(program, options, where);
+    for (std::size_t i = 0; i < engine.stats.per_round.size(); ++i) {
+      const RoundStats& round = engine.stats.per_round[i];
+      EXPECT_EQ(round.batched_triggers, round.applied)
+          << where << " round " << i;
+      if (provenance) {
+        EXPECT_EQ(round.batch_blocks, 0u) << where;
+      }
+    }
   }
 }
 
@@ -163,7 +108,7 @@ TEST(BatchApplyTest, BitIdenticalUnderAtomCap) {
         ChaseVariant::kRestricted}) {
     // Sweep the cap across block boundaries: mid-trigger trips (a
     // multi-atom head straddling the cap) are where the careful mode and
-    // the baseline must agree on which head atoms still land.
+    // the reference must agree on which head atoms still land.
     for (uint64_t cap : {9u, 10u, 11u, 12u, 25u, 60u}) {
       ChaseOptions options;
       options.variant = variant;
@@ -201,7 +146,7 @@ TEST(BatchApplyTest, RestrictedSiblingSatisfactionMatchesPerTrigger) {
   // Round 1 discovers one trigger per rule (same-rule twins would merge
   // at discovery: both rules have an empty frontier). Applying the first
   // inserts q(c) — which satisfies the second trigger's head q(c) too:
-  // the second must be *skipped*, exactly as the per-trigger path skips
+  // the second must be *skipped*, exactly as the reference chase skips
   // it. A batch path that staged both heads without flushing would check
   // the second against a stale instance and fire it, inflating applied
   // counts.
@@ -301,14 +246,14 @@ TEST(HeadBlockTest, FlushPreservesInsertionOrderAndDedups) {
 TEST(BatchApplyTest, HeadCheckFaultStopsAtExactCheck) {
   // Restricted chase of three p-facts: three head checks in round 1.
   // Aborting at head-check ordinal 1 leaves exactly one applied trigger
-  // (check 0 fired it) on both apply paths.
-  for (bool batch : {true, false}) {
+  // (check 0 fired it), staged or direct.
+  for (bool provenance : {false, true}) {
     ParsedProgram program = MustParse(
         "p(X) -> q(X).\n"
         "p(a). p(b). p(c).\n");
     ChaseOptions options;
     options.variant = ChaseVariant::kRestricted;
-    options.batch_apply = batch;
+    options.track_provenance = provenance;
     options.fault_injector = [](FaultSite site, uint64_t ordinal) {
       return site == FaultSite::kHeadCheck && ordinal == 1
                  ? InjectedFault::kDeadline
@@ -316,30 +261,31 @@ TEST(BatchApplyTest, HeadCheckFaultStopsAtExactCheck) {
     };
     ChaseRun run(program.rules, options, program.facts);
     EXPECT_EQ(run.Execute(), ChaseOutcome::kDeadlineExceeded)
-        << "batch=" << batch;
-    EXPECT_EQ(run.applied_triggers(), 1u) << "batch=" << batch;
+        << "provenance=" << provenance;
+    EXPECT_EQ(run.applied_triggers(), 1u) << "provenance=" << provenance;
     // The aborted run's partial instance is flushed and consistent: the
     // database plus the one applied trigger's head.
-    EXPECT_EQ(run.instance().size(), 4u) << "batch=" << batch;
+    EXPECT_EQ(run.instance().size(), 4u) << "provenance=" << provenance;
   }
 }
 
 TEST(BatchApplyTest, HeadCheckCancelSurfacesAsCancelled) {
-  for (bool batch : {true, false}) {
+  for (bool provenance : {false, true}) {
     ParsedProgram program = MustParse(
         "p(X) -> q(X).\n"
         "p(a). p(b).\n");
     ChaseOptions options;
     options.variant = ChaseVariant::kRestricted;
-    options.batch_apply = batch;
+    options.track_provenance = provenance;
     options.fault_injector = [](FaultSite site, uint64_t ordinal) {
       return site == FaultSite::kHeadCheck && ordinal == 0
                  ? InjectedFault::kCancel
                  : InjectedFault::kNone;
     };
     ChaseRun run(program.rules, options, program.facts);
-    EXPECT_EQ(run.Execute(), ChaseOutcome::kCancelled) << "batch=" << batch;
-    EXPECT_EQ(run.applied_triggers(), 0u) << "batch=" << batch;
+    EXPECT_EQ(run.Execute(), ChaseOutcome::kCancelled)
+        << "provenance=" << provenance;
+    EXPECT_EQ(run.applied_triggers(), 0u) << "provenance=" << provenance;
   }
 }
 
@@ -372,35 +318,35 @@ TEST(BatchApplyTest, AdversarialHeadCheckHonorsDeadline) {
   // a regression to ungoverned behavior without making timing-sensitive
   // sanitizer runs flaky.
   ParsedProgram program = AdversarialHeadWorkload(12);
-  for (bool batch : {true, false}) {
+  for (bool provenance : {false, true}) {
     ChaseOptions options;
     options.variant = ChaseVariant::kRestricted;
-    options.batch_apply = batch;
+    options.track_provenance = provenance;
     options.deadline = Deadline::AfterMillis(1);
     WallTimer timer;
     ChaseRun run(program.rules, options, program.facts);
     ChaseOutcome outcome = run.Execute();
     const double elapsed = timer.ElapsedSeconds();
     EXPECT_EQ(outcome, ChaseOutcome::kDeadlineExceeded)
-        << "batch=" << batch;
-    EXPECT_LT(elapsed, 30.0) << "batch=" << batch;
+        << "provenance=" << provenance;
+    EXPECT_LT(elapsed, 30.0) << "provenance=" << provenance;
     // The trigger must not have fired: a tripped check is inconclusive.
-    EXPECT_EQ(run.applied_triggers(), 0u) << "batch=" << batch;
+    EXPECT_EQ(run.applied_triggers(), 0u) << "provenance=" << provenance;
   }
 }
 
 TEST(BatchApplyTest, AdversarialHeadCheckHonorsJoinWorkCap) {
   // The same search bounded by count instead of clock: deterministic.
   ParsedProgram program = AdversarialHeadWorkload(8);
-  for (bool batch : {true, false}) {
+  for (bool provenance : {false, true}) {
     ChaseOptions options;
     options.variant = ChaseVariant::kRestricted;
-    options.batch_apply = batch;
+    options.track_provenance = provenance;
     options.max_join_work = 2000;
     ChaseRun run(program.rules, options, program.facts);
     EXPECT_EQ(run.Execute(), ChaseOutcome::kResourceLimit)
-        << "batch=" << batch;
-    EXPECT_EQ(run.applied_triggers(), 0u) << "batch=" << batch;
+        << "provenance=" << provenance;
+    EXPECT_EQ(run.applied_triggers(), 0u) << "provenance=" << provenance;
   }
 }
 

@@ -1,5 +1,8 @@
 #include "termination/decider.h"
 
+#include <string>
+#include <vector>
+
 #include "generator/workloads.h"
 #include "gtest/gtest.h"
 #include "termination/classifier.h"
@@ -73,6 +76,85 @@ TEST(DeciderTest, ObliviousImpliesSemiObliviousTermination) {
     }
     if (so == TerminationVerdict::kNonTerminating) {
       EXPECT_EQ(o, TerminationVerdict::kNonTerminating) << workload.name;
+    }
+  }
+}
+
+/// Rule set of an ltree(depth) program: each level's loop atom spawns
+/// two fresh children carrying the next level's loop atom.
+std::string LtreeProgram(uint32_t depth) {
+  std::string text;
+  for (uint32_t i = 0; i < depth; ++i) {
+    const std::string level = "n" + std::to_string(i);
+    const std::string next = "n" + std::to_string(i + 1);
+    text += level + "(X,X) -> c(X,Y), c(X,Z), " + next + "(Y,Y), " + next +
+            "(Z,Z).\n";
+  }
+  return text;
+}
+
+TEST(DeciderTest, PinnedOutputsOnTerminatingAndDivergingSets) {
+  // The decider's exploratory chase notifies the pump detector atom by
+  // atom, right after each trigger's provenance record lands. These
+  // figures are that chase's observable footprint; a change to where or
+  // when the engine notifies the observer (e.g. deferring it to a bulk
+  // flush) moves them, and must fail here rather than pass silently.
+  struct Pin {
+    const char* name;
+    std::string program;
+    ChaseVariant variant;
+    TerminationVerdict verdict;
+    uint64_t chase_atoms;
+    uint64_t applied_triggers;
+    std::vector<uint32_t> segment_rules;  // Empty unless non-terminating.
+  };
+  auto curated = [](const char* name) {
+    StatusOr<NamedWorkload> workload = FindWorkload(name);
+    EXPECT_TRUE(workload.ok()) << name;
+    return workload.ok() ? workload->program : std::string();
+  };
+  constexpr ChaseVariant kO = ChaseVariant::kOblivious;
+  constexpr ChaseVariant kSo = ChaseVariant::kSemiOblivious;
+  constexpr TerminationVerdict kTerm = TerminationVerdict::kTerminating;
+  constexpr TerminationVerdict kDiv = TerminationVerdict::kNonTerminating;
+  // The rule of examples/rules/diverging_chain.dlgp.
+  const std::string diverging_chain = "e(X,Y) -> e(Y,Z), e(Z,X).\n";
+  const std::vector<Pin> pins = {
+      {"diverging_chain", diverging_chain, kO, kDiv, 9, 4, {0}},
+      {"diverging_chain", diverging_chain, kSo, kDiv, 9, 4, {0}},
+      {"ltree4", LtreeProgram(4), kO, kTerm, 110, 26, {}},
+      {"ltree4", LtreeProgram(4), kSo, kTerm, 110, 26, {}},
+      {"ltree6", LtreeProgram(6), kO, kTerm, 488, 120, {}},
+      {"ltree6", LtreeProgram(6), kSo, kTerm, 488, 120, {}},
+      {"sl_o_div_so_term", curated("sl_o_div_so_term"), kO, kDiv, 3, 2, {0}},
+      {"sl_o_div_so_term", curated("sl_o_div_so_term"), kSo, kTerm, 2, 1, {}},
+      {"general_nonterm", curated("general_nonterm"), kO, kDiv, 5, 2, {0}},
+      {"general_nonterm", curated("general_nonterm"), kSo, kDiv, 19, 9, {0}},
+      {"ontology_cyclic_nonterm", curated("ontology_cyclic_nonterm"), kO,
+       kDiv, 15, 13, {2, 3, 0, 1}},
+      {"ontology_cyclic_nonterm", curated("ontology_cyclic_nonterm"), kSo,
+       kDiv, 15, 13, {2, 3, 0, 1}},
+      {"lubm_style_tbox", curated("lubm_style_tbox"), kO, kTerm, 42, 38, {}},
+      {"lubm_style_tbox", curated("lubm_style_tbox"), kSo, kTerm, 42, 38, {}},
+      {"guarded_side_term", curated("guarded_side_term"), kSo, kTerm, 6, 3,
+       {}},
+  };
+  for (const Pin& pin : pins) {
+    const std::string context =
+        std::string(pin.name) + " (" + ChaseVariantName(pin.variant) + ")";
+    ParsedProgram program = MustParse(pin.program);
+    StatusOr<DeciderResult> result =
+        DecideTermination(program.rules, &program.vocabulary, pin.variant);
+    ASSERT_TRUE(result.ok()) << context;
+    EXPECT_EQ(result->verdict, pin.verdict) << context;
+    EXPECT_EQ(result->chase_atoms, pin.chase_atoms) << context;
+    EXPECT_EQ(result->applied_triggers, pin.applied_triggers) << context;
+    if (pin.verdict == kDiv) {
+      ASSERT_TRUE(result->certificate.has_value()) << context;
+      EXPECT_EQ(result->certificate->segment_rules, pin.segment_rules)
+          << context;
+    } else {
+      EXPECT_FALSE(result->certificate.has_value()) << context;
     }
   }
 }

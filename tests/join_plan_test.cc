@@ -1,20 +1,23 @@
 // Tests for the compiled discovery join plans (chase/join_plan.{h,cc} +
 // chase/plan_executor.{h,cc}): plan compilation and plannability rules,
 // the depth-zero order choice, BindingSegment budget mechanics, and —
-// the core contract — bit-identity of plan-on against plan-off runs
-// across the variant x order grid, discovery-cap sweeps (including exact
-// join-work accounting parity), fault-injection abort points, and
-// parallel thread counts.
+// the core contract — bit-identity of the unit engine (plan units and
+// search units together) with the reference chase across the variant x
+// order grid and discovery-cap sweeps, plus thread-count invariance
+// under join-work caps and fault-injection abort points.
 
 #include "chase/join_plan.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "base/memory_budget.h"
 #include "chase/chase.h"
 #include "chase/plan_executor.h"
 #include "gtest/gtest.h"
 #include "storage/instance.h"
+#include "tests/reference_twin.h"
 #include "tests/test_util.h"
 
 namespace gchase {
@@ -147,83 +150,20 @@ TEST(BindingSegmentTest, RowsRoundTrip) {
 }
 
 // -------------------------------------------------------------------------
-// Bit-identity: plan-on vs plan-off across variants, orders, caps.
+// Bit-identity: the engine (plan units and search units together) vs the
+// reference chase across variants, orders and caps; join-work caps, which
+// the reference does not meter, vs the engine at other thread counts.
 
-struct TwinRun {
-  ChaseOutcome outcome;
-  std::vector<Atom> atoms;
-  uint64_t applied = 0;
-  uint64_t rounds = 0;
-  uint64_t nulls = 0;
-  uint64_t hom_discoveries = 0;
-  uint64_t join_work = 0;
-  ChaseStats stats;
-};
-
-TwinRun RunTwin(const ParsedProgram& program, ChaseOptions options,
-                bool plans) {
-  options.join_plans = plans;
-  ChaseRun run(program.rules, options, program.facts);
-  TwinRun result;
-  result.outcome = run.Execute();
-  result.atoms = run.instance().MaterializeAtoms();
-  result.applied = run.applied_triggers();
-  result.rounds = run.rounds();
-  result.nulls = run.nulls_created();
-  result.hom_discoveries = run.hom_discoveries();
-  result.join_work = run.join_work();
-  result.stats = run.stats();
-  return result;
-}
-
-/// Asserts full bit-identity of a plan-on run against its plan-off twin.
-/// Unlike apply-path twinning, join_work is asserted *equal*: the plan
-/// executor charges exactly the candidate visits the backtracking search
-/// performs, so work accounting is part of the contract here.
-void ExpectTwinsIdentical(const ParsedProgram& program,
-                          const ChaseOptions& options,
-                          const std::string& context) {
-  TwinRun planned = RunTwin(program, options, true);
-  TwinRun legacy = RunTwin(program, options, false);
-  EXPECT_EQ(planned.outcome, legacy.outcome) << context;
-  EXPECT_EQ(planned.applied, legacy.applied) << context;
-  EXPECT_EQ(planned.rounds, legacy.rounds) << context;
-  EXPECT_EQ(planned.nulls, legacy.nulls) << context;
-  EXPECT_EQ(planned.hom_discoveries, legacy.hom_discoveries) << context;
-  EXPECT_EQ(planned.join_work, legacy.join_work) << context;
-  ASSERT_EQ(planned.atoms.size(), legacy.atoms.size()) << context;
-  for (std::size_t i = 0; i < planned.atoms.size(); ++i) {
-    ASSERT_TRUE(planned.atoms[i] == legacy.atoms[i])
-        << context << " atom " << i;
-  }
-  ASSERT_EQ(planned.stats.per_rule.size(), legacy.stats.per_rule.size())
-      << context;
-  for (std::size_t r = 0; r < planned.stats.per_rule.size(); ++r) {
-    EXPECT_EQ(planned.stats.per_rule[r].discovered,
-              legacy.stats.per_rule[r].discovered)
-        << context << " rule " << r;
-    EXPECT_EQ(planned.stats.per_rule[r].applied,
-              legacy.stats.per_rule[r].applied)
-        << context << " rule " << r;
-    EXPECT_EQ(planned.stats.per_rule[r].skipped_satisfied,
-              legacy.stats.per_rule[r].skipped_satisfied)
-        << context << " rule " << r;
-    // Plan activity is strictly a plan-on phenomenon.
-    EXPECT_EQ(legacy.stats.per_rule[r].plan_rotations, 0u)
-        << context << " rule " << r;
-  }
-  ASSERT_EQ(planned.stats.per_round.size(), legacy.stats.per_round.size())
-      << context;
-  for (std::size_t i = 0; i < planned.stats.per_round.size(); ++i) {
-    EXPECT_EQ(planned.stats.per_round[i].candidates,
-              legacy.stats.per_round[i].candidates)
-        << context << " round " << i;
-    EXPECT_EQ(planned.stats.per_round[i].applied,
-              legacy.stats.per_round[i].applied)
-        << context << " round " << i;
-    EXPECT_EQ(legacy.stats.per_round[i].plan_units, 0u)
-        << context << " round " << i;
-  }
+/// Runs `options` at 1 thread and at `threads` threads with the parallel
+/// cutover off, so even tiny rounds take the pool.
+std::pair<ChaseResult, ChaseResult> RunThreadTwins(const ParsedProgram& program,
+                                                   ChaseOptions options,
+                                                   uint32_t threads) {
+  options.parallel_cutover_work = 0;
+  ChaseResult one = RunChase(program.rules, options, program.facts);
+  options.discovery_threads = threads;
+  ChaseResult many = RunChase(program.rules, options, program.facts);
+  return {std::move(one), std::move(many)};
 }
 
 /// A workload exercising every plan shape at once: a two-conjunct join
@@ -259,10 +199,10 @@ TEST(JoinPlanTest, BitIdenticalAcrossVariantsAndOrders) {
       options.order_seed = 0x9e3779b97f4a7c15ull;
       options.max_atoms = 4000;
       options.max_steps = 4000;
-      ExpectTwinsIdentical(program, options,
-                           std::string(ChaseVariantName(variant)) +
-                               "/order=" +
-                               std::to_string(static_cast<int>(order)));
+      ExpectMatchesReference(program, options,
+                             std::string(ChaseVariantName(variant)) +
+                                 "/order=" +
+                                 std::to_string(static_cast<int>(order)));
     }
   }
 }
@@ -276,9 +216,9 @@ TEST(JoinPlanTest, BitIdenticalUnderStepCap) {
       ChaseOptions options;
       options.variant = variant;
       options.max_steps = cap;
-      ExpectTwinsIdentical(program, options,
-                           std::string(ChaseVariantName(variant)) +
-                               "/max_steps=" + std::to_string(cap));
+      ExpectMatchesReference(program, options,
+                             std::string(ChaseVariantName(variant)) +
+                                 "/max_steps=" + std::to_string(cap));
     }
   }
 }
@@ -294,81 +234,120 @@ TEST(JoinPlanTest, BitIdenticalUnderHomDiscoveryCap) {
       options.max_hom_discoveries = cap;
       options.max_atoms = 4000;
       options.max_steps = 4000;
-      ExpectTwinsIdentical(program, options,
-                           std::string(ChaseVariantName(variant)) +
-                               "/max_homs=" + std::to_string(cap));
+      ExpectMatchesReference(program, options,
+                             std::string(ChaseVariantName(variant)) +
+                                 "/max_homs=" + std::to_string(cap));
     }
   }
 }
 
 TEST(JoinPlanTest, BitIdenticalUnderJoinWorkCap) {
-  // The cap that makes visit-accounting parity observable: a plan run
-  // that charged even one visit more or less than the backtracking
-  // search would trip the cap on a different round and diverge.
+  // A join-work cap stops a round at a point that depends on what the
+  // earlier units charged; the capped rerun must find that point the same
+  // way at every thread count, join_work included.
   ParsedProgram program = MixedWorkload();
   for (ChaseVariant variant :
        {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
         ChaseVariant::kRestricted}) {
     for (uint64_t cap : {1u, 30u, 111u, 500u, 2000u}) {
-      ChaseOptions options;
-      options.variant = variant;
-      options.max_join_work = cap;
-      options.max_atoms = 4000;
-      options.max_steps = 4000;
-      ExpectTwinsIdentical(program, options,
-                           std::string(ChaseVariantName(variant)) +
-                               "/max_join_work=" + std::to_string(cap));
+      for (uint32_t threads : {2u, 4u}) {
+        ChaseOptions options;
+        options.variant = variant;
+        options.max_join_work = cap;
+        options.max_atoms = 4000;
+        options.max_steps = 4000;
+        const auto [one, many] = RunThreadTwins(program, options, threads);
+        ExpectSameRun(one, many, /*compare_join_work=*/true,
+                      std::string(ChaseVariantName(variant)) +
+                          "/max_join_work=" + std::to_string(cap) +
+                          "/threads=" + std::to_string(threads));
+      }
     }
   }
 }
 
 TEST(JoinPlanTest, BitIdenticalAcrossThreadCounts) {
-  // Plan-on parallel rounds must agree with plan-on serial rounds and —
-  // transitively — with the legacy serial engine. Cutover 0 forces the
-  // pool on so small rounds exercise the parallel merge too.
+  // Parallel rounds must agree with inline rounds — join_work included —
+  // and every thread count with the reference chase, over the variant x
+  // order grid, uncapped and under each count cap the reference honors.
   ParsedProgram program = MixedWorkload();
   ChaseOptions base;
   base.max_atoms = 4000;
   base.max_steps = 4000;
-  base.parallel_cutover_work = 0;
-  TwinRun serial = RunTwin(program, base, true);
   for (uint32_t threads : {2u, 4u}) {
-    ChaseOptions options = base;
-    options.discovery_threads = threads;
-    TwinRun parallel = RunTwin(program, options, true);
-    EXPECT_EQ(parallel.outcome, serial.outcome) << threads;
-    EXPECT_EQ(parallel.applied, serial.applied) << threads;
-    EXPECT_EQ(parallel.hom_discoveries, serial.hom_discoveries) << threads;
-    EXPECT_EQ(parallel.join_work, serial.join_work) << threads;
-    ASSERT_EQ(parallel.atoms.size(), serial.atoms.size()) << threads;
-    for (std::size_t i = 0; i < parallel.atoms.size(); ++i) {
-      ASSERT_TRUE(parallel.atoms[i] == serial.atoms[i])
-          << threads << " atom " << i;
+    const auto [one, many] = RunThreadTwins(program, base, threads);
+    ExpectSameRun(one, many, /*compare_join_work=*/true,
+                  "threads=" + std::to_string(threads));
+  }
+  struct Regime {
+    const char* name;
+    uint64_t ChaseOptions::*cap;
+    uint64_t value;
+  };
+  const Regime regimes[] = {
+      {"uncapped", &ChaseOptions::max_atoms, 1500},
+      {"max_steps", &ChaseOptions::max_steps, 23},
+      {"max_atoms", &ChaseOptions::max_atoms, 25},
+      {"max_nulls", &ChaseOptions::max_nulls, 5},
+      {"max_homs", &ChaseOptions::max_hom_discoveries, 40},
+  };
+  for (ChaseVariant variant :
+       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
+        ChaseVariant::kRestricted}) {
+    for (TriggerOrder order :
+         {TriggerOrder::kFifo, TriggerOrder::kDatalogFirst,
+          TriggerOrder::kRandom}) {
+      for (const Regime& regime : regimes) {
+        for (uint32_t threads : {1u, 2u, 4u}) {
+          ChaseOptions options;
+          options.variant = variant;
+          options.order = order;
+          options.order_seed = 0x9e3779b97f4a7c15ull;
+          options.max_atoms = 1500;
+          options.max_steps = 1500;
+          options.*regime.cap = regime.value;
+          options.discovery_threads = threads;
+          options.parallel_cutover_work = 0;
+          ExpectMatchesReference(
+              program, options,
+              std::string(ChaseVariantName(variant)) + "/order=" +
+                  std::to_string(static_cast<int>(order)) + "/" +
+                  regime.name + "/threads=" + std::to_string(threads));
+        }
+      }
     }
-    ExpectTwinsIdentical(program, options,
-                         "threads=" + std::to_string(threads));
   }
 }
 
 // -------------------------------------------------------------------------
-// Fault-injection abort points: a plan-on run must stop with the same
-// outcome and the same instance as plan-off at every deterministic abort.
-// Counters accrued mid-discovery (hom_discoveries) may legitimately
-// differ on aborted rounds — collect-then-merge engines discard pending
-// work wholesale — so they are not compared here, mirroring the
-// parallel-discovery contract.
+// Fault-injection abort points: the engine must stop with the same
+// outcome and the same instance at every deterministic abort, whether
+// its units ran inline or on the pool. Counters accrued mid-discovery
+// (join_work) may legitimately differ on aborted rounds — the units that
+// ran before the abort depend on scheduling, and their work is discarded
+// wholesale — so they are not compared here.
 
-void ExpectAbortTwinsAgree(const ParsedProgram& program, ChaseOptions options,
+void ExpectAbortTwinsAgree(const ParsedProgram& program,
+                           const ChaseOptions& options,
                            const std::string& context) {
-  TwinRun planned = RunTwin(program, options, true);
-  TwinRun legacy = RunTwin(program, options, false);
-  EXPECT_EQ(planned.outcome, legacy.outcome) << context;
-  EXPECT_EQ(planned.applied, legacy.applied) << context;
-  ASSERT_EQ(planned.atoms.size(), legacy.atoms.size()) << context;
-  for (std::size_t i = 0; i < planned.atoms.size(); ++i) {
-    ASSERT_TRUE(planned.atoms[i] == legacy.atoms[i])
-        << context << " atom " << i;
+  const auto [one, many] = RunThreadTwins(program, options, 4);
+  EXPECT_EQ(one.outcome, many.outcome) << context;
+  EXPECT_EQ(one.applied_triggers, many.applied_triggers) << context;
+  const std::vector<Atom> one_atoms = one.instance.MaterializeAtoms();
+  const std::vector<Atom> many_atoms = many.instance.MaterializeAtoms();
+  ASSERT_EQ(one_atoms.size(), many_atoms.size()) << context;
+  for (std::size_t i = 0; i < one_atoms.size(); ++i) {
+    ASSERT_TRUE(one_atoms[i] == many_atoms[i]) << context << " atom " << i;
   }
+}
+
+/// Apply-phase and round-boundary aborts happen outside discovery: full
+/// bit-identity across thread counts, counters included.
+void ExpectAbortTwinsIdentical(const ParsedProgram& program,
+                               const ChaseOptions& options,
+                               const std::string& context) {
+  const auto [one, many] = RunThreadTwins(program, options, 4);
+  ExpectSameRun(one, many, /*compare_join_work=*/true, context);
 }
 
 TEST(JoinPlanTest, FaultAtDiscoveryUnitAbortsIdentically) {
@@ -398,10 +377,8 @@ TEST(JoinPlanTest, FaultAtRoundStartAbortsIdentically) {
                  ? InjectedFault::kDeadline
                  : InjectedFault::kNone;
     };
-    // Round boundaries are outside the discovery phase: full bit-identity
-    // holds there, counters included.
-    ExpectTwinsIdentical(program, options,
-                         "round-start=" + std::to_string(round));
+    ExpectAbortTwinsIdentical(program, options,
+                              "round-start=" + std::to_string(round));
   }
 }
 
@@ -416,10 +393,8 @@ TEST(JoinPlanTest, FaultAtTriggerApplyAbortsIdentically) {
                  ? InjectedFault::kResourceLimit
                  : InjectedFault::kNone;
     };
-    // Apply-phase aborts happen after discovery merged completely: full
-    // bit-identity, counters included.
-    ExpectTwinsIdentical(program, options,
-                         "trigger-apply=" + std::to_string(ordinal));
+    ExpectAbortTwinsIdentical(program, options,
+                              "trigger-apply=" + std::to_string(ordinal));
   }
 }
 
@@ -432,16 +407,28 @@ TEST(JoinPlanTest, StatsReportPlanActivity) {
   options.max_atoms = 4000;
   options.max_steps = 4000;
 
-  TwinRun planned = RunTwin(program, options, true);
+  const ChaseResult planned = RunChase(program.rules, options, program.facts);
   EXPECT_EQ(planned.stats.plannable_rules, 5u);
   uint64_t plan_units = 0, fallback_units = 0, binding_rows = 0;
-  for (const RoundStats& round : planned.stats.per_round) {
-    plan_units += round.plan_units;
-    fallback_units += round.fallback_units;
-    binding_rows += round.binding_rows;
+  const std::vector<RoundStats>& rounds = planned.stats.per_round;
+  ASSERT_GT(rounds.size(), 1u);
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    plan_units += rounds[i].plan_units;
+    fallback_units += rounds[i].fallback_units;
+    binding_rows += rounds[i].binding_rows;
+    // Every (rule, pivot) unit of a round is either a plan unit or a
+    // search unit: 5 plannable rules with 2 + 1 + 2 + 1 + 1 conjuncts, and
+    // the three-conjunct rule. The step cap binds in the last round, whose
+    // capped rerun stops at the unit where the cap bound.
+    if (i + 1 < rounds.size()) {
+      EXPECT_EQ(rounds[i].plan_units, 7u) << "round " << i;
+      EXPECT_EQ(rounds[i].fallback_units, 3u) << "round " << i;
+    } else {
+      EXPECT_LE(rounds[i].plan_units + rounds[i].fallback_units, 10u);
+    }
   }
   EXPECT_GT(plan_units, 0u);
-  // The three-conjunct rule keeps the backtracking path busy every round.
+  // The three-conjunct rule keeps the backtracking search busy every round.
   EXPECT_GT(fallback_units, 0u);
   EXPECT_GT(binding_rows, 0u);
   // The closure rule executed plans and recorded its chosen order.
@@ -450,14 +437,6 @@ TEST(JoinPlanTest, StatsReportPlanActivity) {
   // The non-plannable rule never rotated.
   EXPECT_EQ(planned.stats.per_rule[5].plan_rotations, 0u);
   EXPECT_TRUE(planned.stats.per_rule[5].plan_order.empty());
-
-  TwinRun legacy = RunTwin(program, options, false);
-  // Plannability is reported either way; execution counters are zero off.
-  EXPECT_EQ(legacy.stats.plannable_rules, 5u);
-  for (const RoundStats& round : legacy.stats.per_round) {
-    EXPECT_EQ(round.plan_units, 0u);
-    EXPECT_EQ(round.binding_rows, 0u);
-  }
 }
 
 // -------------------------------------------------------------------------

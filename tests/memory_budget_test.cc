@@ -241,9 +241,10 @@ TEST(ChaseMemoryTest, CappedRunIsBitExactPrefixOfUncappedRun) {
 }
 
 TEST(ChaseMemoryTest, InjectedAllocationFaultIsEngineInvariant) {
-  // The kAllocation ordinal space is shared by the batch, per-trigger
-  // and parallel executors: a memory-budget fault injected at the same
-  // ordinal must stop all three at the same prefix.
+  // The kAllocation ordinal space does not depend on how the apply path
+  // inserts head atoms (staged, or directly as provenance runs do) nor on
+  // the discovery thread count: a memory-budget fault injected at the
+  // same ordinal must stop every configuration at the same prefix.
   ParsedProgram program = MustParse(kDivergingProgram);
   for (uint64_t target : {uint64_t{0}, uint64_t{2}, uint64_t{6}}) {
     struct Stop {
@@ -254,18 +255,17 @@ TEST(ChaseMemoryTest, InjectedAllocationFaultIsEngineInvariant) {
     std::vector<Stop> stops;
     struct Engine {
       const char* name;
-      bool batch_apply;
+      bool track_provenance;
       uint32_t threads;
     };
     for (const Engine& engine :
-         {Engine{"serial-batch", true, 1},
-          Engine{"serial-per-trigger", false, 1},
-          Engine{"parallel-batch", true, 2}}) {
+         {Engine{"serial-staged", false, 1}, Engine{"serial-direct", true, 1},
+          Engine{"parallel-staged", false, 2}}) {
       auto fired = std::make_shared<std::atomic<bool>>(false);
       ChaseOptions options;
       options.variant = ChaseVariant::kOblivious;
       options.max_atoms = 1u << 12;
-      options.batch_apply = engine.batch_apply;
+      options.track_provenance = engine.track_provenance;
       options.discovery_threads = engine.threads;
       if (engine.threads > 1) options.parallel_cutover_work = 0;
       options.fault_injector = [fired, target](FaultSite site,

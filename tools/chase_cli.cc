@@ -17,11 +17,6 @@
 //                 list (per-rule counters, per-round timings, peaks)
 //     --threads=N parallel trigger discovery with N workers (default 1;
 //                 the result is bit-identical for every N)
-//     --join-plans=on|off  compiled set-at-a-time join plans for trigger
-//                 discovery (default on); off routes every rule through
-//                 the legacy backtracking search. The result is
-//                 bit-identical either way — this is a performance
-//                 toggle and the differential-testing baseline
 //     --deadline-ms=N  wall-clock budget; an expired run stops at its
 //                 next cooperative checkpoint with the partial instance
 //                 and stats intact
@@ -70,14 +65,16 @@
 // the process: the chase stops cooperatively and the partial result is
 // printed, exactly as on deadline expiry.
 //
-// Exit codes: 0 terminated, 1 I/O or parse error, 2 bad usage,
-// 3 resource cap, 4 deadline exceeded, 5 cancelled, 6 memory budget
-// exceeded.
+// Exit codes: 0 terminated, 1 I/O or parse error, 2 bad usage (an
+// unknown variant or --flag, a non-numeric max_atoms, a stray extra
+// argument), 3 resource cap, 4 deadline exceeded, 5 cancelled, 6 memory
+// budget exceeded.
 //
 // The input file holds rules and facts in the library's syntax; see
 // examples/rules/*.dlgp.
 
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -230,23 +227,26 @@ int RunDecideMode(gchase::ParsedProgram& parsed, int64_t deadline_ms,
   return 0;
 }
 
+/// Prints the one-line usage summary to stderr and returns the bad-usage
+/// exit code.
+int Usage(const char* program) {
+  std::fprintf(stderr,
+               "usage: %s <file.dlgp> [restricted|semi-oblivious|"
+               "oblivious] [max_atoms] [--dot] [--stats] [--threads=N] "
+               "[--deadline-ms=N] [--max-memory-mb=N] "
+               "[--load-csv=FILE] [--edb-dir=DIR] [--decide] "
+               "[--trace=FILE] [--trace-categories=LIST] "
+               "[--metrics-json=FILE] [--progress[=MS]] "
+               "[--progress-file=FILE]\n",
+               program);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace gchase;
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <file.dlgp> [restricted|semi-oblivious|"
-                 "oblivious] [max_atoms] [--dot] [--stats] [--threads=N] "
-                 "[--join-plans=on|off] "
-                 "[--deadline-ms=N] [--max-memory-mb=N] "
-                 "[--load-csv=FILE] [--edb-dir=DIR] [--decide] "
-                 "[--trace=FILE] [--trace-categories=LIST] "
-                 "[--metrics-json=FILE] [--progress[=MS]] "
-                 "[--progress-file=FILE]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (argc < 2) return Usage(argv[0]);
   std::ifstream in(argv[1]);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", argv[1]);
@@ -263,7 +263,6 @@ int main(int argc, char** argv) {
   bool want_dot = false;
   bool want_stats = false;
   bool want_decide = false;
-  bool join_plans = true;
   std::string load_csv_path;
   std::string edb_dir;
   uint32_t threads = 1;
@@ -330,17 +329,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       if (progress_interval_ms == 0) progress_interval_ms = 1000;
-    } else if (std::strncmp(argv[i], "--join-plans=", 13) == 0) {
-      const char* value = argv[i] + 13;
-      if (std::strcmp(value, "on") == 0) {
-        join_plans = true;
-      } else if (std::strcmp(value, "off") == 0) {
-        join_plans = false;
-      } else {
-        std::fprintf(stderr, "--join-plans needs 'on' or 'off', got '%s'\n",
-                     value);
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = static_cast<uint32_t>(std::strtoul(argv[i] + 10, nullptr, 10));
       if (threads == 0) threads = 1;
@@ -369,9 +357,18 @@ int main(int argc, char** argv) {
         return 2;
       }
       max_memory_bytes = mb * (uint64_t{1} << 20);
+    } else if (i > 0 && std::strncmp(argv[i], "--", 2) == 0) {
+      // A mistyped flag must not fall through as a positional argument
+      // (it would silently become the variant or the atom cap).
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+      return Usage(argv[0]);
     } else {
       args.push_back(argv[i]);
     }
+  }
+  if (args.size() > 4) {
+    std::fprintf(stderr, "unexpected argument '%s'\n", args[4]);
+    return Usage(argv[0]);
   }
   argc = static_cast<int>(args.size());
   argv = args.data();
@@ -428,7 +425,6 @@ int main(int argc, char** argv) {
   options.max_atoms = 10000;
   options.track_provenance = want_dot;
   options.discovery_threads = threads;
-  options.join_plans = join_plans;
   if (deadline_ms >= 0) options.deadline = Deadline::AfterMillis(deadline_ms);
   options.cancel = g_cancel;
   options.max_memory_bytes = max_memory_bytes;
@@ -442,10 +438,21 @@ int main(int argc, char** argv) {
       options.variant = ChaseVariant::kRestricted;
     } else {
       std::fprintf(stderr, "unknown variant '%s'\n", argv[2]);
-      return 2;
+      return Usage(argv[0]);
     }
   }
-  if (argc > 3) options.max_atoms = std::strtoull(argv[3], nullptr, 10);
+  if (argc > 3) {
+    const char* text = argv[3];
+    char* end = nullptr;
+    errno = 0;
+    options.max_atoms = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE) {
+      std::fprintf(stderr,
+                   "max_atoms must be a non-negative integer, got '%s'\n",
+                   text);
+      return Usage(argv[0]);
+    }
+  }
 
   // EDB-backed seeding: resolve the database source before constructing
   // the run so the loader and the chase share one memory budget (a load

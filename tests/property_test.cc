@@ -1,3 +1,5 @@
+#include <type_traits>
+
 #include "acyclicity/dependency_graph.h"
 #include "acyclicity/joint_acyclicity.h"
 #include "base/rng.h"
@@ -13,11 +15,20 @@ namespace gchase {
 namespace {
 
 /// Parameter: (class, seed base). Each test sweeps many seeds.
+///
+/// gtest prints a struct parameter as its raw bytes, and those bytes end up
+/// in the test names that gtest_discover_tests registers with ctest. The
+/// explicit zero fields fill what would otherwise be padding, so the names
+/// carry no uninitialised bytes and are the same on every build.
 struct SweepParam {
   RuleClass rule_class;
+  uint32_t zero_fill_a = 0;
   uint64_t seed_base;
   uint32_t num_seeds;
+  uint32_t zero_fill_b = 0;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "SweepParam must have no padding bytes");
 
 class RandomSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
@@ -212,10 +223,18 @@ TEST_P(RandomSweepTest, PrinterParserRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(
     AllClasses, RandomSweepTest,
     ::testing::Values(
-        SweepParam{RuleClass::kSimpleLinear, 1000, 60},
-        SweepParam{RuleClass::kLinear, 2000, 60},
-        SweepParam{RuleClass::kGuarded, 3000, 40},
-        SweepParam{RuleClass::kGeneral, 4000, 30}),
+        SweepParam{.rule_class = RuleClass::kSimpleLinear,
+                   .seed_base = 1000,
+                   .num_seeds = 60},
+        SweepParam{.rule_class = RuleClass::kLinear,
+                   .seed_base = 2000,
+                   .num_seeds = 60},
+        SweepParam{.rule_class = RuleClass::kGuarded,
+                   .seed_base = 3000,
+                   .num_seeds = 40},
+        SweepParam{.rule_class = RuleClass::kGeneral,
+                   .seed_base = 4000,
+                   .num_seeds = 30}),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       switch (info.param.rule_class) {
         case RuleClass::kSimpleLinear:

@@ -118,7 +118,7 @@ tier_tsan() {
     --target chase_test chase_limits_test chase_parallel_test governor_test \
              obs_test batch_apply_test join_plan_test memory_budget_test &&
   (cd build-tsan && ctest -j"$(nproc)" \
-    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress')
+    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress|PhaseScope')
 }
 
 tier_asan() {

@@ -13,8 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/histogram.h"
-#include "obs/metrics.h"
+#include "obs/phase.h"
 #include "obs/trace.h"
 
 namespace gchase {
@@ -92,10 +91,7 @@ class ThreadPool {
       for (uint64_t u = 0; u < num_units; ++u) fn(u);
       return;
     }
-    GCHASE_TRACE_SPAN(TraceCategory::kPool, "pool.job", num_units);
-    static MetricHistogram* const job_hist =
-        MetricsRegistry::Global().Histogram("pool.job_ns");
-    LatencyTimer job_timer(job_hist);
+    PhaseScope job_scope(Phase::kPoolJob, num_units);
     std::lock_guard<std::mutex> job_lock(job_mutex_);
     // Publish the job before any chunk becomes visible: a straggler from
     // the previous job may pick up these chunks through a slot mutex, and
@@ -210,8 +206,7 @@ class ThreadPool {
       const std::function<void(uint64_t)>* fn =
           job_fn_.load(std::memory_order_acquire);
       {
-        GCHASE_TRACE_SPAN(TraceCategory::kPool, "pool.run",
-                          chunk.end - chunk.begin);
+        PhaseScope run_scope(Phase::kPoolRun, chunk.end - chunk.begin);
         // A failed job still drains: remaining units are claimed and
         // skipped (cheap flag check per chunk) so remaining_ reaches 0
         // and the submitting thread can wake up and rethrow.

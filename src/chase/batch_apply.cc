@@ -14,9 +14,7 @@
 #include <algorithm>
 
 #include "chase/chase.h"
-#include "obs/histogram.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 #include "storage/instance.h"
 
 namespace gchase {
@@ -130,11 +128,7 @@ bool ChaseRun::ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
   // the instance of any partial result.
   const auto flush = [&]() {
     if (block.empty()) return;
-    GCHASE_TRACE_SPAN(TraceCategory::kChase, "chase.batch_flush",
-                      block.atoms());
-    static MetricHistogram* const flush_hist =
-        MetricsRegistry::Global().Histogram("chase.batch_flush_ns");
-    LatencyTimer flush_timer(flush_hist);
+    PhaseScope flush_scope(Phase::kChaseBatchFlush, block.atoms());
     round->batch_blocks += block.FlushInto(&instance_);
     block.Clear();
   };

@@ -8,12 +8,9 @@
 
 #include "base/hash.h"
 #include "base/rng.h"
-#include "base/timer.h"
-#include "obs/histogram.h"
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
+#include "obs/phase.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
 #include "storage/edb.h"
 
 namespace gchase {
@@ -104,9 +101,7 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
 ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
                    const std::vector<Atom>& database)
     : ChaseRun(rules, std::move(options)) {
-  GCHASE_TRACE_SPAN_PERF(TraceCategory::kChase, "chase.load", database.size(),
-                         PerfPhase::kLoad);
-  WallTimer load_timer;
+  PhaseScope load(Phase::kChaseLoad, database.size(), &stats_.load_seconds);
   // Pre-size for the whole database load (as the apply phase does per
   // round): a large EDB would otherwise rehash the dedup table and
   // position index repeatedly mid-seed.
@@ -121,16 +116,16 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
       (void)id;
     }
   }
-  stats_.load_seconds = load_timer.ElapsedSeconds();
   stats_.edb_atoms = instance_.size();
 }
 
 ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
                    const EdbDatabase& edb, Vocabulary* vocabulary)
     : ChaseRun(rules, std::move(options)) {
-  GCHASE_TRACE_SPAN_PERF(TraceCategory::kChase, "chase.load", edb.TotalRows(),
-                         PerfPhase::kLoad);
-  WallTimer seed_timer;
+  PhaseScope load(Phase::kChaseLoad, edb.TotalRows(), &stats_.load_seconds);
+  // The loader's own parse/open time is part of the load phase the
+  // caller sees, so fold it in.
+  stats_.load_seconds = edb.load_stats().seconds;
   EdbSeedStats seed;
   seed_status_ =
       SeedInstanceFromEdb(edb, vocabulary, &instance_, memory_budget_.get(),
@@ -139,9 +134,6 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
     provenance_.assign(instance_.size(), AtomProvenance{});
   }
   seed_denied_ = seed.budget_denied || edb.load_stats().memory_exceeded;
-  // The loader's own parse/open time is part of the load phase the
-  // caller sees, so fold it in.
-  stats_.load_seconds = edb.load_stats().seconds + seed_timer.ElapsedSeconds();
   stats_.load_bytes = edb.load_stats().input_bytes;
   stats_.edb_atoms = instance_.size();
 }
@@ -165,9 +157,7 @@ std::vector<uint32_t> ChaseRun::TriggerKey(uint32_t rule_index,
 ChaseRun::HeadCheck ChaseRun::CheckHeadSatisfied(const Tgd& rule,
                                                  const Binding& binding,
                                                  ChaseOutcome* outcome) {
-  static MetricHistogram* const head_check_hist =
-      MetricsRegistry::Global().Histogram("chase.head_check_ns");
-  LatencyTimer head_check_timer(head_check_hist);
+  PhaseScope head_check(Phase::kChaseHeadCheck);
   // Cooperative checkpoint at the check boundary: a run that is out of
   // budget stops *before* starting a potentially pathological search, and
   // tests can abort deterministically inside the check phase.
@@ -375,12 +365,8 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
                           std::memory_order_relaxed);
       return;
     }
-    static MetricHistogram* const plan_unit_hist =
-        MetricsRegistry::Global().Histogram("chase.discovery_unit_plan_ns");
-    static MetricHistogram* const fallback_unit_hist =
-        MetricsRegistry::Global().Histogram("chase.discovery_unit_fallback_ns");
-    LatencyTimer unit_timer(unit.planned ? plan_unit_hist
-                                         : fallback_unit_hist);
+    PhaseScope unit_scope(unit.planned ? Phase::kChaseDiscoveryUnitPlan
+                                       : Phase::kChaseDiscoveryUnitFallback);
     unit.visits = 0;
     unit.budget_exhausted = false;
     unit.governor_tripped = false;
@@ -581,153 +567,137 @@ ChaseOutcome ChaseRun::ExecuteLoop(const AtomObserver& observer) {
   AtomId watermark = 0;
   ChaseOutcome outcome = ChaseOutcome::kTerminated;
   UpdateStatsPeaks();
-  for (;;) {
-    // Round-boundary checkpoint: a run that is out of budget stops here
-    // with everything it has materialized so far intact.
-    if (GovernorStop(FaultSite::kRoundStart, rounds_, &outcome)) {
-      UpdateStatsPeaks();
-      return outcome;
-    }
-    const AtomId frontier_end = instance_.size();
-    GCHASE_TRACE_SPAN(TraceCategory::kChase, "chase.round", rounds_);
-
-    // Discover triggers whose homomorphism touches the latest delta:
-    // pivot decomposition guarantees each homomorphism is found once.
-    // Discovery itself is bounded by the step cap — unguarded bodies can
-    // otherwise enumerate combinatorially many homomorphisms in a single
-    // round before any trigger is applied.
-    WallTimer round_timer;
-    WallTimer phase_timer;
-    bool discovery_capped = false;
-    bool discovery_stopped = false;
-    ChaseOutcome stop_outcome = ChaseOutcome::kTerminated;
-    std::vector<PendingTrigger> pending;
+  // Round-boundary checkpoint: a run that is out of budget stops here
+  // with everything it has materialized so far intact.
+  bool more = true;
+  while (more && !GovernorStop(FaultSite::kRoundStart, rounds_, &outcome)) {
+    const uint64_t rounds_before = rounds_;
+    double round_seconds = 0.0;
     {
-      GCHASE_TRACE_SPAN_PERF(TraceCategory::kChase, "chase.discovery", rounds_,
-                             PerfPhase::kDiscovery);
-      pending = DiscoverTriggers(watermark, &discovery_capped,
-                                 &discovery_stopped, &stop_outcome);
+      PhaseScope round(Phase::kChaseRound, rounds_, &round_seconds);
+      more = ExecuteRound(&watermark, observer, &outcome);
     }
-    const double discovery_seconds = phase_timer.ElapsedSeconds();
-
-    if (discovery_stopped) {
-      // Governor trip mid-discovery: the candidate set is partial, so
-      // applying it would skew restricted-chase order semantics — drop it
-      // and surface the abort with the instance and stats as they stand.
-      // (Like a final empty discovery pass, an aborted one has no
-      // per-round entry; its wall time goes to final_discovery_seconds.)
-      stats_.final_discovery_seconds += discovery_seconds;
-      UpdateStatsPeaks();
-      return stop_outcome;
-    }
-    if (pending.empty()) {
-      // A capped discovery may have dropped homomorphisms that will not
-      // be re-found (their atoms are no longer delta): the run is
-      // incomplete, not terminated. The pass has no per-round entry, but
-      // its wall time and index peaks are real — account them here, or
-      // discovery totals undercount by one pass per run.
-      stats_.final_discovery_seconds += discovery_seconds;
-      UpdateStatsPeaks();
-      return discovery_capped ? ChaseOutcome::kResourceLimit
-                              : ChaseOutcome::kTerminated;
-    }
-    ++rounds_;
-    stats_.per_round.push_back(RoundStats{});
-    RoundStats& round = stats_.per_round.back();
-    round.delta_atoms = frontier_end - watermark;
-    round.candidates = pending.size();
-    round.discovery_seconds = discovery_seconds;
-    round.estimated_work = last_estimated_work_;
-    round.parallel_discovery = last_parallel_;
-    round.plan_units = last_plan_units_;
-    round.fallback_units = last_fallback_units_;
-    round.binding_rows = last_binding_rows_;
-    if (last_parallel_) ++stats_.parallel_rounds;
-
-    // Reorder within the round per the configured strategy. Every
-    // strategy applies all discovered triggers before the next round, so
-    // fairness is preserved.
-    switch (options_.order) {
-      case TriggerOrder::kFifo:
-        break;
-      case TriggerOrder::kDatalogFirst:
-        std::stable_partition(
-            pending.begin(), pending.end(), [this](const PendingTrigger& t) {
-              return rules_.rule(t.rule).IsFull();
-            });
-        break;
-      case TriggerOrder::kRandom: {
-        // Seed and round are avalanche-mixed so nearby (seed, round)
-        // pairs give independent shuffles; `seed + round` would make
-        // (s, r+1) replay (s+1, r) and correlate adjacent seeds.
-        Rng rng(SplitMix64(options_.order_seed ^ SplitMix64(rounds_)));
-        for (std::size_t i = pending.size(); i > 1; --i) {
-          std::swap(pending[i - 1], pending[rng.NextBelow(i)]);
-        }
-        break;
-      }
-    }
-
-    // Pre-size the instance for the round's worst-case growth (every
-    // pending trigger fires and every head atom is new) so the apply loop
-    // never rehashes the dedup table or position index mid-flight.
-    uint64_t reserve_atoms = 0;
-    uint64_t reserve_terms = 0;
-    for (const PendingTrigger& trigger : pending) {
-      for (const Atom& head_atom : rules_.rule(trigger.rule).head()) {
-        ++reserve_atoms;
-        reserve_terms += head_atom.arity();
-      }
-    }
-    // Storage-growth checkpoint with the reserve's projected byte cost:
-    // a budget the reserve would cross stops the round here, before any
-    // of the memory is committed, so the instance still holds exactly the
-    // atoms the uncapped run had at this point.
-    if (AllocationStop(
-            instance_.EstimateReserveBytes(reserve_atoms, reserve_terms),
-            &outcome)) {
-      round.total_seconds = round_timer.ElapsedSeconds();
-      UpdateStatsPeaks();
-      return outcome;
-    }
-    instance_.ReserveAdditional(reserve_atoms, reserve_terms);
-
-    // Apply in the chosen order (always serial: application mutates the
-    // instance, and restricted-chase semantics depend on the order).
-    phase_timer.Restart();
-    const uint64_t applied_before = applied_triggers_;
-    GCHASE_TRACE_SPAN_PERF(TraceCategory::kChase, "chase.apply", rounds_ - 1,
-                           PerfPhase::kApply);
-    const bool apply_ok =
-        ApplyPendingBatch(pending, observer, &round, &outcome);
-    round.applied = applied_triggers_ - applied_before;
-    round.apply_seconds = phase_timer.ElapsedSeconds();
-    round.total_seconds = round_timer.ElapsedSeconds();
-    // Latency distributions ride on the per-round timers the stats layer
-    // already reads — no extra clock calls, just three records per round.
-    if (ProfilingEnabled()) {
-      static MetricHistogram* const round_hist =
-          MetricsRegistry::Global().Histogram("chase.round_ns");
-      static MetricHistogram* const apply_hist =
-          MetricsRegistry::Global().Histogram("chase.apply_ns");
-      static MetricHistogram* const discovery_hist =
-          MetricsRegistry::Global().Histogram("chase.discovery_ns");
-      round_hist->Record(static_cast<uint64_t>(round.total_seconds * 1e9));
-      apply_hist->Record(static_cast<uint64_t>(round.apply_seconds * 1e9));
-      discovery_hist->Record(
-          static_cast<uint64_t>(round.discovery_seconds * 1e9));
-    }
-    if (ProgressEnabled()) {
-      ProgressCounters& pc = GlobalProgress();
-      pc.rounds.store(rounds_, std::memory_order_relaxed);
-      pc.atoms.store(instance_.size(), std::memory_order_relaxed);
-      pc.triggers.store(applied_triggers_, std::memory_order_relaxed);
+    // A final empty or aborted discovery pass has no per-round entry.
+    if (rounds_ != rounds_before) {
+      stats_.per_round.back().total_seconds = round_seconds;
     }
     UpdateStatsPeaks();
-    if (!apply_ok) return outcome;
-    if (discovery_capped) return ChaseOutcome::kResourceLimit;
-    watermark = frontier_end;
   }
+  return outcome;
+}
+
+bool ChaseRun::ExecuteRound(AtomId* watermark, const AtomObserver& observer,
+                            ChaseOutcome* outcome) {
+  const AtomId frontier_end = instance_.size();
+
+  // Discover triggers whose homomorphism touches the latest delta:
+  // pivot decomposition guarantees each homomorphism is found once.
+  // Discovery itself is bounded by the step cap — unguarded bodies can
+  // otherwise enumerate combinatorially many homomorphisms in a single
+  // round before any trigger is applied.
+  bool discovery_capped = false;
+  bool discovery_stopped = false;
+  double discovery_seconds = 0.0;
+  std::vector<PendingTrigger> pending;
+  {
+    PhaseScope discovery(Phase::kChaseDiscovery, rounds_, &discovery_seconds);
+    pending = DiscoverTriggers(*watermark, &discovery_capped,
+                               &discovery_stopped, outcome);
+  }
+
+  if (discovery_stopped || pending.empty()) {
+    // A stopped pass is partial — applying it would skew restricted-chase
+    // order semantics — so it is dropped with *outcome already set. A
+    // capped empty pass may have lost homomorphisms that will not be
+    // re-found: the run is incomplete, not terminated.
+    stats_.final_discovery_seconds += discovery_seconds;
+    if (!discovery_stopped) {
+      *outcome = discovery_capped ? ChaseOutcome::kResourceLimit
+                                  : ChaseOutcome::kTerminated;
+    }
+    return false;
+  }
+  ++rounds_;
+  stats_.per_round.push_back(RoundStats{});
+  RoundStats& round = stats_.per_round.back();
+  round.delta_atoms = frontier_end - *watermark;
+  round.candidates = pending.size();
+  round.discovery_seconds = discovery_seconds;
+  round.estimated_work = last_estimated_work_;
+  round.parallel_discovery = last_parallel_;
+  round.plan_units = last_plan_units_;
+  round.fallback_units = last_fallback_units_;
+  round.binding_rows = last_binding_rows_;
+  if (last_parallel_) ++stats_.parallel_rounds;
+
+  // Reorder within the round per the configured strategy. Every
+  // strategy applies all discovered triggers before the next round, so
+  // fairness is preserved.
+  switch (options_.order) {
+    case TriggerOrder::kFifo:
+      break;
+    case TriggerOrder::kDatalogFirst:
+      std::stable_partition(
+          pending.begin(), pending.end(), [this](const PendingTrigger& t) {
+            return rules_.rule(t.rule).IsFull();
+          });
+      break;
+    case TriggerOrder::kRandom: {
+      // Seed and round are avalanche-mixed so nearby (seed, round)
+      // pairs give independent shuffles; `seed + round` would make
+      // (s, r+1) replay (s+1, r) and correlate adjacent seeds.
+      Rng rng(SplitMix64(options_.order_seed ^ SplitMix64(rounds_)));
+      for (std::size_t i = pending.size(); i > 1; --i) {
+        std::swap(pending[i - 1], pending[rng.NextBelow(i)]);
+      }
+      break;
+    }
+  }
+
+  // Pre-size the instance for the round's worst-case growth (every
+  // pending trigger fires and every head atom is new) so the apply loop
+  // never rehashes the dedup table or position index mid-flight.
+  uint64_t reserve_atoms = 0;
+  uint64_t reserve_terms = 0;
+  for (const PendingTrigger& trigger : pending) {
+    for (const Atom& head_atom : rules_.rule(trigger.rule).head()) {
+      ++reserve_atoms;
+      reserve_terms += head_atom.arity();
+    }
+  }
+  // Storage-growth checkpoint with the reserve's projected byte cost:
+  // a budget the reserve would cross stops the round here, before any
+  // of the memory is committed, so the instance still holds exactly the
+  // atoms the uncapped run had at this point.
+  if (AllocationStop(
+          instance_.EstimateReserveBytes(reserve_atoms, reserve_terms),
+          outcome)) {
+    return false;
+  }
+  instance_.ReserveAdditional(reserve_atoms, reserve_terms);
+
+  // Apply in the chosen order (always serial: application mutates the
+  // instance, and restricted-chase semantics depend on the order).
+  const uint64_t applied_before = applied_triggers_;
+  bool apply_ok;
+  {
+    PhaseScope apply(Phase::kChaseApply, rounds_ - 1, &round.apply_seconds);
+    apply_ok = ApplyPendingBatch(pending, observer, &round, outcome);
+  }
+  round.applied = applied_triggers_ - applied_before;
+  if (ProgressEnabled()) {
+    ProgressCounters& pc = GlobalProgress();
+    pc.rounds.store(rounds_, std::memory_order_relaxed);
+    pc.atoms.store(instance_.size(), std::memory_order_relaxed);
+    pc.triggers.store(applied_triggers_, std::memory_order_relaxed);
+  }
+  if (!apply_ok) return false;
+  if (discovery_capped) {
+    *outcome = ChaseOutcome::kResourceLimit;
+    return false;
+  }
+  *watermark = frontier_end;
+  return true;
 }
 
 ChaseResult RunChase(const RuleSet& rules, const ChaseOptions& options,

@@ -255,9 +255,9 @@ struct RoundStats {
   uint64_t applied = 0;            ///< Triggers fired this round.
   double discovery_seconds = 0.0;  ///< Wall time of the discovery phase.
   double apply_seconds = 0.0;      ///< Wall time of the application phase.
-  /// Wall time of the whole round, discovery start to apply end — also
-  /// covering the reorder/reserve work between the phases, which the two
-  /// phase timers alone leave invisible.
+  /// Wall time of the whole round (the chase.round span), discovery
+  /// start to apply end — also covering the reorder/reserve work between
+  /// the phases, which the two phase timers alone leave invisible.
   double total_seconds = 0.0;
   uint64_t estimated_work = 0;     ///< Join-work estimate driving cutover.
   bool parallel_discovery = false; ///< Round's units ran on the pool.
@@ -467,6 +467,11 @@ class ChaseRun {
   /// The body of Execute(); the public wrapper adds the bad_alloc
   /// containment boundary.
   ChaseOutcome ExecuteLoop(const AtomObserver& observer);
+
+  /// One discovery pass and, when it finds triggers, the round that
+  /// applies them. Returns false when the run stops, with *outcome set.
+  bool ExecuteRound(AtomId* watermark, const AtomObserver& observer,
+                    ChaseOutcome* outcome);
 
   /// One round of semi-naive trigger discovery: every homomorphism whose
   /// image touches an atom with id >= `watermark`, deduplicated through

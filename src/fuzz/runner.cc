@@ -6,8 +6,8 @@
 
 #include "base/timer.h"
 #include "obs/metrics.h"
+#include "obs/phase.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
 
 namespace gchase {
 
@@ -50,7 +50,7 @@ FuzzReport RunFuzz(const FuzzRunnerOptions& options) {
       report.stopped_early = true;
       break;
     }
-    GCHASE_TRACE_SPAN(TraceCategory::kFuzz, "fuzz.trial", trial);
+    PhaseScope trial_scope(Phase::kFuzzTrial, trial);
     ++report.trials_started;
     if (ProgressEnabled()) {
       GlobalProgress().trials_started.fetch_add(1, std::memory_order_relaxed);
@@ -73,8 +73,8 @@ FuzzReport RunFuzz(const FuzzRunnerOptions& options) {
       oracle_options.cancel = options.cancel;
       OracleResult result;
       {
-        GCHASE_TRACE_SPAN(TraceCategory::kFuzz, "fuzz.oracle",
-                          static_cast<uint64_t>(oracle));
+        PhaseScope oracle_scope(Phase::kFuzzOracle,
+                                static_cast<uint64_t>(oracle));
         result = RunOracle(oracle, fuzz_case, oracle_options);
       }
       if (result.outcome == OracleOutcome::kInconclusive &&
@@ -114,7 +114,7 @@ FuzzReport RunFuzz(const FuzzRunnerOptions& options) {
         // of the per-trial budget, so every candidate gets equal
         // treatment and the minimized case still violates under the
         // budgets a replay will use.
-        GCHASE_TRACE_SPAN(TraceCategory::kFuzz, "fuzz.shrink", trial);
+        PhaseScope shrink_scope(Phase::kFuzzShrink, trial);
         ShrinkOptions shrink_options = options.shrink_options;
         shrink_options.deadline = Deadline::Earlier(
             Deadline::AfterMillis(8 * options.trial_deadline_ms),

@@ -1,11 +1,9 @@
 #include "obs/histogram.h"
 
-#include <chrono>
+#include "obs/trace.h"
 
 namespace gchase {
 namespace {
-
-std::atomic<bool> g_profiling_enabled{false};
 
 void AppendField(std::string* out, const char* key, uint64_t value,
                  bool* first) {
@@ -20,18 +18,11 @@ void AppendField(std::string* out, const char* key, uint64_t value,
 }  // namespace
 
 bool ProfilingEnabled() {
-  return g_profiling_enabled.load(std::memory_order_relaxed);
+  return (internal::ObsFlags() & internal::kProfilingFlag) != 0;
 }
 
 void SetProfilingEnabled(bool enabled) {
-  g_profiling_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-uint64_t ProfilingNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+  internal::SetObsFlags(internal::kProfilingFlag, enabled);
 }
 
 uint64_t MetricHistogram::ValueAtQuantile(double q) const {

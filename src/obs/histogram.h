@@ -111,46 +111,12 @@ class MetricHistogram {
   std::atomic<uint64_t> max_{0};
 };
 
-/// Process-wide switch for the latency/perf profiling layer. Off by
-/// default: every instrumentation site guards its clock reads behind one
-/// relaxed load of this flag, extending the tracer's off-by-default cost
-/// discipline (a disabled site is a load and a predicted branch, no
-/// clock read, no store). The CLIs enable it alongside --metrics-json.
+/// Process-wide switch for the latency-histogram layer, one bit of the
+/// observability word (obs/trace.h). Off by default: a PhaseScope with
+/// a histogram records into it only while this is on. The CLIs enable
+/// it alongside --metrics-json.
 bool ProfilingEnabled();
 void SetProfilingEnabled(bool enabled);
-
-/// Steady-clock nanoseconds for latency timing (monotonic, epoch
-/// unspecified — only differences are meaningful).
-uint64_t ProfilingNowNs();
-
-/// RAII latency probe: when profiling is enabled at construction, reads
-/// the steady clock and records the elapsed nanoseconds into `histogram`
-/// at destruction. When disabled (or given a null histogram) it is inert
-/// — one relaxed load, nothing else. Call sites cache the histogram
-/// pointer (MetricsRegistry pointers are stable) in a function-local
-/// static.
-class LatencyTimer {
- public:
-  explicit LatencyTimer(MetricHistogram* histogram) {
-    if (histogram != nullptr && ProfilingEnabled()) {
-      histogram_ = histogram;
-      start_ns_ = ProfilingNowNs();
-    }
-  }
-
-  LatencyTimer(const LatencyTimer&) = delete;
-  LatencyTimer& operator=(const LatencyTimer&) = delete;
-
-  ~LatencyTimer() {
-    if (histogram_ != nullptr) {
-      histogram_->Record(ProfilingNowNs() - start_ns_);
-    }
-  }
-
- private:
-  MetricHistogram* histogram_ = nullptr;
-  uint64_t start_ns_ = 0;
-};
 
 }  // namespace gchase
 

@@ -18,10 +18,6 @@
 
 namespace gchase {
 
-namespace internal {
-std::atomic<bool> g_perf_enabled{false};
-}  // namespace internal
-
 namespace {
 
 std::atomic<bool> g_perf_available{false};
@@ -42,6 +38,11 @@ struct PhaseAccumulator {
   std::array<std::atomic<uint64_t>, kNumPerfEvents> events{};
 };
 PhaseAccumulator g_phases[kNumPerfPhases];
+
+// JSON keys of the PerfEventKind columns, in enum order.
+constexpr const char* kEventNames[kNumPerfEvents] = {
+    "cycles",       "instructions",  "cache_references",
+    "cache_misses", "branch_misses", "task_clock_ns"};
 
 void AppendRatio(std::string* out, const char* key, double value) {
   char buf[64];
@@ -195,19 +196,10 @@ std::string OpenFailureReason(int err) {
 }  // namespace
 
 const char* PerfPhaseName(PerfPhase phase) {
-  switch (phase) {
-    case PerfPhase::kDiscovery:
-      return "discovery";
-    case PerfPhase::kApply:
-      return "apply";
-    case PerfPhase::kDedupGrowth:
-      return "dedup_growth";
-    case PerfPhase::kDecider:
-      return "decider";
-    case PerfPhase::kLoad:
-      return "load";
-  }
-  return "unknown";
+  constexpr const char* kNames[kNumPerfPhases] = {
+      "discovery", "apply", "dedup_growth", "decider", "load"};
+  const int index = static_cast<int>(phase);
+  return index >= 0 && index < kNumPerfPhases ? kNames[index] : "unknown";
 }
 
 bool EnablePerfCounters() {
@@ -219,7 +211,7 @@ bool EnablePerfCounters() {
     tl_group.Close();
     if (!tl_group.Open()) {
       g_perf_available.store(false, std::memory_order_relaxed);
-      internal::g_perf_enabled.store(false, std::memory_order_relaxed);
+      internal::SetObsFlags(internal::kPerfFlag, false);
       std::lock_guard<std::mutex> lock(g_reason_mu);
       UnavailableReason() = OpenFailureReason(tl_group.open_errno);
       return false;
@@ -227,7 +219,7 @@ bool EnablePerfCounters() {
   }
   g_perf_available.store(true, std::memory_order_relaxed);
   g_hw_available.store(!tl_group.software_only, std::memory_order_relaxed);
-  internal::g_perf_enabled.store(true, std::memory_order_relaxed);
+  internal::SetObsFlags(internal::kPerfFlag, true);
   {
     std::lock_guard<std::mutex> lock(g_reason_mu);
     if (tl_group.software_only) {
@@ -241,7 +233,7 @@ bool EnablePerfCounters() {
   return true;
 #else
   g_perf_available.store(false, std::memory_order_relaxed);
-  internal::g_perf_enabled.store(false, std::memory_order_relaxed);
+  internal::SetObsFlags(internal::kPerfFlag, false);
   std::lock_guard<std::mutex> lock(g_reason_mu);
   UnavailableReason() = "perf_event_open is Linux-only";
   return false;
@@ -249,7 +241,7 @@ bool EnablePerfCounters() {
 }
 
 void DisablePerfCounters() {
-  internal::g_perf_enabled.store(false, std::memory_order_relaxed);
+  internal::SetObsFlags(internal::kPerfFlag, false);
 }
 
 bool PerfCountersAvailable() {
@@ -297,17 +289,10 @@ std::string PerfSnapshotJson() {
     out += PerfPhaseName(phase);
     out += "\": {";
     out += "\"scopes\": " + std::to_string(totals.scopes);
-    out += ", \"cycles\": " + std::to_string(totals.events[kPerfCycles]);
-    out += ", \"instructions\": " +
-           std::to_string(totals.events[kPerfInstructions]);
-    out += ", \"cache_references\": " +
-           std::to_string(totals.events[kPerfCacheReferences]);
-    out += ", \"cache_misses\": " +
-           std::to_string(totals.events[kPerfCacheMisses]);
-    out += ", \"branch_misses\": " +
-           std::to_string(totals.events[kPerfBranchMisses]);
-    out += ", \"task_clock_ns\": " +
-           std::to_string(totals.events[kPerfTaskClockNs]);
+    for (int i = 0; i < kNumPerfEvents; ++i) {
+      out += ", \"" + std::string(kEventNames[i]) +
+             "\": " + std::to_string(totals.events[i]);
+    }
     out += ", ";
     const uint64_t cycles = totals.events[kPerfCycles];
     AppendRatio(&out, "ipc",
@@ -337,32 +322,32 @@ void ResetPerfCounters() {
   }
 }
 
-void PerfPhaseScope::Begin(PerfPhase phase) {
+namespace internal {
+
+bool ReadPerfGroup(uint64_t values[kNumPerfEvents]) {
 #if defined(__linux__)
   if (!tl_group.tried) tl_group.Open();
-  if (tl_group.leader < 0) return;
-  if (!tl_group.ReadValues(start_)) return;
-  phase_ = phase;
-  active_ = true;
+  return tl_group.leader >= 0 && tl_group.ReadValues(values);
 #else
-  (void)phase;
+  (void)values;
+  return false;
 #endif
 }
 
-void PerfPhaseScope::End() {
-#if defined(__linux__)
+void AddPerfDeltas(PerfPhase phase, const uint64_t start[kNumPerfEvents]) {
   uint64_t end[kNumPerfEvents];
-  if (!tl_group.ReadValues(end)) return;
-  PhaseAccumulator& acc = g_phases[static_cast<int>(phase_)];
+  if (!ReadPerfGroup(end)) return;
+  PhaseAccumulator& acc = g_phases[static_cast<int>(phase)];
   acc.scopes.fetch_add(1, std::memory_order_relaxed);
   for (int i = 0; i < kNumPerfEvents; ++i) {
-    const uint64_t delta = end[i] - start_[i];
+    const uint64_t delta = end[i] - start[i];
     // Guard against counter resets between reads (re-opened groups).
-    if (end[i] >= start_[i] && delta != 0) {
+    if (end[i] >= start[i] && delta != 0) {
       acc.events[i].fetch_add(delta, std::memory_order_relaxed);
     }
   }
-#endif
 }
+
+}  // namespace internal
 
 }  // namespace gchase

@@ -37,15 +37,10 @@ inline constexpr int kNumPerfEvents = 6;
 /// "discovery", "apply", "dedup_growth", "decider" or "load".
 const char* PerfPhaseName(PerfPhase phase);
 
-namespace internal {
-/// Master switch, exposed so the inert path of PerfPhaseScope is a
-/// single inlined relaxed load (same discipline as the tracer mask).
-extern std::atomic<bool> g_perf_enabled;
-}  // namespace internal
-
-/// True when EnablePerfCounters() succeeded and scopes are recording.
+/// True when EnablePerfCounters() succeeded and scopes are recording:
+/// one bit of the observability word (obs/trace.h).
 inline bool PerfCountersEnabled() {
-  return internal::g_perf_enabled.load(std::memory_order_relaxed);
+  return (internal::ObsFlags() & internal::kPerfFlag) != 0;
 }
 
 /// Probes perf_event_open on the calling thread and, on success, turns
@@ -95,54 +90,14 @@ std::string PerfSnapshotJson();
 /// Zeroes the per-phase aggregates (tests; quiescent callers only).
 void ResetPerfCounters();
 
-/// RAII phase attribution: when counters are enabled at construction,
-/// reads the calling thread's counter group at entry and exit and adds
-/// the deltas to the phase's global aggregate. Disabled (or on a thread
-/// whose group failed to open) it is inert after one relaxed load.
-class PerfPhaseScope {
- public:
-  explicit PerfPhaseScope(PerfPhase phase) {
-    if (PerfCountersEnabled()) Begin(phase);
-  }
-
-  PerfPhaseScope(const PerfPhaseScope&) = delete;
-  PerfPhaseScope& operator=(const PerfPhaseScope&) = delete;
-
-  ~PerfPhaseScope() {
-    if (active_) End();
-  }
-
- private:
-  void Begin(PerfPhase phase);
-  void End();
-
-  uint64_t start_[kNumPerfEvents] = {};
-  PerfPhase phase_ = PerfPhase::kDiscovery;
-  bool active_ = false;
-};
-
-// Span + phase attribution in one line. Compiled out together with the
-// trace macros under GCHASE_DISABLE_TRACING (the switch exists to rule
-// all observability out of perf forensics). Fixed four-argument shape;
-// trace.h's concat helpers only exist when tracing is compiled in, so
-// this defines its own.
-#if !defined(GCHASE_DISABLE_TRACING)
-
-#define GCHASE_PERF_CONCAT_INNER_(a, b) a##b
-#define GCHASE_PERF_CONCAT_(a, b) GCHASE_PERF_CONCAT_INNER_(a, b)
-
-#define GCHASE_TRACE_SPAN_PERF(category, name, arg, phase)             \
-  GCHASE_TRACE_SPAN(category, name, arg);                              \
-  ::gchase::PerfPhaseScope GCHASE_PERF_CONCAT_(gchase_perf_scope_,     \
-                                               __COUNTER__)(phase)
-
-#else  // GCHASE_DISABLE_TRACING
-
-#define GCHASE_TRACE_SPAN_PERF(category, name, arg, phase) \
-  do {                                                     \
-  } while (0)
-
-#endif  // GCHASE_DISABLE_TRACING
+namespace internal {
+/// PhaseScope's perf hooks. ReadPerfGroup reads the calling thread's
+/// counter group (opening it on first use) into `values` and returns
+/// false when the thread has none; AddPerfDeltas reads it again and adds
+/// the deltas since `start` to `phase`, counting one completed scope.
+bool ReadPerfGroup(uint64_t values[kNumPerfEvents]);
+void AddPerfDeltas(PerfPhase phase, const uint64_t start[kNumPerfEvents]);
+}  // namespace internal
 
 }  // namespace gchase
 

@@ -3,7 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "obs/histogram.h"
+#include "obs/trace.h"
 
 namespace gchase {
 
@@ -50,7 +50,7 @@ bool ProgressReporter::Start(const Options& options) {
   if (options_.interval_ms == 0) options_.interval_ms = 1000;
   stop_requested_ = false;
   samples_.store(0, std::memory_order_relaxed);
-  start_ns_ = ProfilingNowNs();
+  start_ns_ = SteadyNowNs();
   last_sample_ns_ = start_ns_;
   const ProgressCounters& pc = GlobalProgress();
   last_atoms_ = pc.atoms.load(std::memory_order_relaxed);
@@ -72,7 +72,7 @@ void ProgressReporter::Stop() {
   internal::g_progress_enabled.store(false, std::memory_order_relaxed);
   // Final sample so an aborted run (SIGINT, deadline, OOM) still shows
   // where it got to.
-  EmitSample(ProfilingNowNs());
+  EmitSample(SteadyNowNs());
   if (ndjson_.is_open()) ndjson_.close();
   running_ = false;
 }
@@ -85,7 +85,7 @@ void ProgressReporter::Run() {
         [this] { return stop_requested_; });
     if (stopping) return;  // Stop() emits the final sample.
     lock.unlock();
-    EmitSample(ProfilingNowNs());
+    EmitSample(SteadyNowNs());
     lock.lock();
   }
 }

@@ -1,17 +1,8 @@
 #include "obs/trace.h"
 
-#include <chrono>
-
 namespace gchase {
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 struct NamedCategory {
   const char* name;
@@ -82,12 +73,8 @@ void Tracer::Start(const Config& config) {
   complete_threshold_ns_ = config.complete_threshold_ns;
   epoch_ns_ = SteadyNowNs();
   session_.fetch_add(1, std::memory_order_release);
-  enabled_.store(config.categories, std::memory_order_release);
-}
-
-uint64_t Tracer::NowNs() const {
-  const uint64_t now = SteadyNowNs();
-  return now > epoch_ns_ ? now - epoch_ns_ : 0;
+  internal::SetObsFlags(kAllTraceCategories, false);
+  internal::SetObsFlags(config.categories & kAllTraceCategories, true);
 }
 
 TraceBuffer* Tracer::BufferForThisThread() {
@@ -104,47 +91,29 @@ TraceBuffer* Tracer::BufferForThisThread() {
 }
 
 bool Tracer::RecordBegin(TraceCategory category, const char* name,
-                         uint64_t arg) {
-  TraceEvent event;
-  event.name = name;
-  event.ts_ns = NowNs();
-  event.arg = arg;
-  event.category = category;
-  event.phase = TracePhase::kBegin;
-  return BufferForThisThread()->PushChecked(event);
+                         uint64_t arg, uint64_t now_ns) {
+  return BufferForThisThread()->PushChecked(
+      {name, SinceEpoch(now_ns), 0, arg, category, TracePhase::kBegin});
 }
 
-void Tracer::RecordEnd(TraceCategory category, const char* name) {
-  TraceEvent event;
-  event.name = name;
-  event.ts_ns = NowNs();
-  event.category = category;
-  event.phase = TracePhase::kEnd;
-  BufferForThisThread()->PushEnd(event);
+void Tracer::RecordEnd(TraceCategory category, const char* name,
+                       uint64_t now_ns) {
+  BufferForThisThread()->PushEnd(
+      {name, SinceEpoch(now_ns), 0, kNoTraceArg, category, TracePhase::kEnd});
 }
 
 void Tracer::RecordInstant(TraceCategory category, const char* name,
                            uint64_t arg) {
-  TraceEvent event;
-  event.name = name;
-  event.ts_ns = NowNs();
-  event.arg = arg;
-  event.category = category;
-  event.phase = TracePhase::kInstant;
-  BufferForThisThread()->PushChecked(event);
+  const uint64_t now_ns = SteadyNowNs();
+  BufferForThisThread()->PushChecked(
+      {name, SinceEpoch(now_ns), 0, arg, category, TracePhase::kInstant});
 }
 
 void Tracer::RecordComplete(TraceCategory category, const char* name,
                             uint64_t start_ns, uint64_t dur_ns, uint64_t arg) {
   if (dur_ns < complete_threshold_ns_) return;
-  TraceEvent event;
-  event.name = name;
-  event.ts_ns = start_ns;
-  event.dur_ns = dur_ns;
-  event.arg = arg;
-  event.category = category;
-  event.phase = TracePhase::kComplete;
-  BufferForThisThread()->PushChecked(event);
+  BufferForThisThread()->PushChecked(
+      {name, start_ns, dur_ns, arg, category, TracePhase::kComplete});
 }
 
 std::vector<Tracer::ThreadEvents> Tracer::Collect() const {

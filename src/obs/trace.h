@@ -2,6 +2,7 @@
 #define GCHASE_OBS_TRACE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -25,6 +26,36 @@ enum class TraceCategory : uint32_t {
 };
 
 inline constexpr uint32_t kAllTraceCategories = 0x1f;
+
+namespace internal {
+/// The process-wide observability word: the tracer's category mask in
+/// the low bits plus the profiling and perf-counter switches, so one
+/// relaxed load tells a PhaseScope whether anything is listening.
+inline constexpr uint32_t kProfilingFlag = 1u << 30;
+inline constexpr uint32_t kPerfFlag = 1u << 31;
+inline std::atomic<uint32_t> g_obs_flags{0};
+
+inline uint32_t ObsFlags() {
+  return g_obs_flags.load(std::memory_order_relaxed);
+}
+
+inline void SetObsFlags(uint32_t bits, bool on) {
+  if (on) {
+    g_obs_flags.fetch_or(bits, std::memory_order_release);
+  } else {
+    g_obs_flags.fetch_and(~bits, std::memory_order_release);
+  }
+}
+}  // namespace internal
+
+/// Steady-clock nanoseconds (monotonic, epoch unspecified): the one
+/// clock behind trace timestamps, phase durations and progress samples.
+inline uint64_t SteadyNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Returns "chase", "pool", "decider", "storage" or "fuzz".
 const char* TraceCategoryName(TraceCategory category);
@@ -123,10 +154,11 @@ class TraceBuffer {
 /// Process-wide tracing core.
 ///
 /// Cost model: with tracing off (the default), every instrumentation
-/// point is one relaxed load of the category mask and a predicted-
+/// point is one relaxed load of the observability word and a predicted-
 /// not-taken branch — no clock read, no buffer lookup, no allocation.
-/// With tracing on, a record is a steady-clock read plus a bounds-checked
-/// store into the calling thread's preallocated buffer.
+/// With tracing on, a record is a bounds-checked store into the calling
+/// thread's preallocated buffer; spans reuse their PhaseScope's clock
+/// readings.
 ///
 /// Sessions: Start() opens a session (mask + per-thread capacity) and
 /// Stop() closes it by clearing the mask; buffered events survive Stop()
@@ -154,22 +186,18 @@ class Tracer {
   void Start(const Config& config);
 
   /// Disables recording; buffers stay readable through Collect().
-  void Stop() { enabled_.store(0, std::memory_order_relaxed); }
+  void Stop() { internal::SetObsFlags(kAllTraceCategories, false); }
 
   bool enabled(TraceCategory category) const {
-    return (enabled_.load(std::memory_order_relaxed) &
-            static_cast<uint32_t>(category)) != 0;
+    return (internal::ObsFlags() & static_cast<uint32_t>(category)) != 0;
   }
 
-  uint64_t complete_threshold_ns() const { return complete_threshold_ns_; }
-
-  /// Nanoseconds since the session started (steady clock).
-  uint64_t NowNs() const;
-
-  /// Records a span begin on the calling thread. Returns true when the
-  /// event was stored (the caller must then record the matching end).
-  bool RecordBegin(TraceCategory category, const char* name, uint64_t arg);
-  void RecordEnd(TraceCategory category, const char* name);
+  /// Records a span begin on the calling thread at `now_ns` (a
+  /// SteadyNowNs() reading). Returns true when the event was stored (the
+  /// caller must then record the matching end).
+  bool RecordBegin(TraceCategory category, const char* name, uint64_t arg,
+                   uint64_t now_ns);
+  void RecordEnd(TraceCategory category, const char* name, uint64_t now_ns);
   void RecordInstant(TraceCategory category, const char* name, uint64_t arg);
   /// Retroactive span [start_ns, start_ns + dur_ns); dropped below the
   /// configured threshold.
@@ -201,7 +229,11 @@ class Tracer {
 
   TraceBuffer* BufferForThisThread();
 
-  std::atomic<uint32_t> enabled_{0};
+  /// Session-relative timestamp of a SteadyNowNs() reading.
+  uint64_t SinceEpoch(uint64_t now_ns) const {
+    return now_ns > epoch_ns_ ? now_ns - epoch_ns_ : 0;
+  }
+
   std::atomic<uint64_t> session_{0};
   std::atomic<uint64_t> buffers_created_{0};
   std::size_t buffer_capacity_ = std::size_t{1} << 14;
@@ -213,48 +245,6 @@ class Tracer {
   std::vector<std::unique_ptr<TraceBuffer>> buffers_;
 };
 
-/// RAII span: records begin at construction, end at destruction. When
-/// the category is disabled at construction the span is inert — one
-/// relaxed load total. If tracing is disabled mid-span the end is still
-/// recorded (buffers outlive Stop()), keeping pairs balanced.
-class TraceSpan {
- public:
-  TraceSpan(TraceCategory category, const char* name,
-            uint64_t arg = kNoTraceArg)
-      : category_(category), name_(name) {
-    Tracer& tracer = Tracer::Global();
-    recorded_ =
-        tracer.enabled(category) && tracer.RecordBegin(category, name, arg);
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  ~TraceSpan() {
-    if (recorded_) Tracer::Global().RecordEnd(category_, name_);
-  }
-
- private:
-  const TraceCategory category_;
-  const char* const name_;
-  bool recorded_ = false;
-};
-
-// Macro guard: -DGCHASE_DISABLE_TRACING compiles every instrumentation
-// point out entirely (the runtime check is already near-free; the switch
-// exists for perf forensics that must rule observability out).
-#if !defined(GCHASE_DISABLE_TRACING)
-
-#define GCHASE_TRACE_CONCAT_INNER_(a, b) a##b
-#define GCHASE_TRACE_CONCAT_(a, b) GCHASE_TRACE_CONCAT_INNER_(a, b)
-
-/// Scoped span: GCHASE_TRACE_SPAN(TraceCategory::kChase, "chase.round")
-/// or with a numeric argument: GCHASE_TRACE_SPAN(cat, name, round_index).
-#define GCHASE_TRACE_SPAN(category, ...)                              \
-  ::gchase::TraceSpan GCHASE_TRACE_CONCAT_(gchase_trace_span_,        \
-                                           __COUNTER__)(category,     \
-                                                        __VA_ARGS__)
-
 /// Point event, recorded only when the category is enabled.
 #define GCHASE_TRACE_INSTANT(category, name, arg)                     \
   do {                                                                \
@@ -263,17 +253,6 @@ class TraceSpan {
       gchase_trace_tracer.RecordInstant(category, name, arg);         \
     }                                                                 \
   } while (0)
-
-#else  // GCHASE_DISABLE_TRACING
-
-#define GCHASE_TRACE_SPAN(category, ...) \
-  do {                                   \
-  } while (0)
-#define GCHASE_TRACE_INSTANT(category, name, arg) \
-  do {                                            \
-  } while (0)
-
-#endif  // GCHASE_DISABLE_TRACING
 
 }  // namespace gchase
 

@@ -6,11 +6,7 @@
 #include <optional>
 #include <vector>
 
-#include "base/timer.h"
-#include "obs/histogram.h"
-#include "obs/metrics.h"
-#include "obs/perf_counters.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 
 namespace gchase {
 
@@ -103,9 +99,7 @@ Status ParseCsvInto(std::string_view text, const BulkLoadOptions& options,
   bool budget_tripped = false;
 
   auto flush = [&]() -> Status {
-    static MetricHistogram* const batch_hist =
-        MetricsRegistry::Global().Histogram("storage.load_batch_ns");
-    LatencyTimer batch_timer(batch_hist);
+    PhaseScope batch_scope(Phase::kStorageLoadBatch);
     ids.resize(fields.size());
     if (!fields.empty() &&
         !edb->InternTermBatch(fields.data(), ids.data(), fields.size())) {
@@ -311,17 +305,16 @@ using ParseFn = Status (*)(std::string_view, const BulkLoadOptions&,
 
 StatusOr<std::unique_ptr<InMemoryEdb>> LoadFacts(
     std::string_view text, const BulkLoadOptions& options, ParseFn parse,
-    const char* span_name) {
-  GCHASE_TRACE_SPAN_PERF(TraceCategory::kStorage, span_name, text.size(),
-                         PerfPhase::kLoad);
-  WallTimer timer;
+    Phase phase) {
   auto edb = std::make_unique<InMemoryEdb>();
-  edb->SetMemoryBudget(options.budget);
-  Status parsed = parse(text, options, edb.get());
-  if (!parsed.ok()) return parsed;
   EdbLoadStats* stats = edb->mutable_load_stats();
+  {
+    PhaseScope load(phase, text.size(), &stats->seconds);
+    edb->SetMemoryBudget(options.budget);
+    Status parsed = parse(text, options, edb.get());
+    if (!parsed.ok()) return parsed;
+  }
   stats->input_bytes = text.size();
-  stats->seconds = timer.ElapsedSeconds();
   return edb;
 }
 
@@ -349,7 +342,7 @@ StatusOr<std::string> ReadFile(const std::string& path) {
 
 StatusOr<std::unique_ptr<InMemoryEdb>> LoadCsvFacts(
     std::string_view text, const BulkLoadOptions& options) {
-  return LoadFacts(text, options, &ParseCsvInto, "storage.bulk_load_csv");
+  return LoadFacts(text, options, &ParseCsvInto, Phase::kStorageBulkLoadCsv);
 }
 
 StatusOr<std::unique_ptr<InMemoryEdb>> LoadCsvFactsFile(
@@ -361,7 +354,7 @@ StatusOr<std::unique_ptr<InMemoryEdb>> LoadCsvFactsFile(
 
 StatusOr<std::unique_ptr<InMemoryEdb>> LoadDlgpFacts(
     std::string_view text, const BulkLoadOptions& options) {
-  return LoadFacts(text, options, &ParseDlgpInto, "storage.bulk_load_dlgp");
+  return LoadFacts(text, options, &ParseDlgpInto, Phase::kStorageBulkLoadDlgp);
 }
 
 StatusOr<std::unique_ptr<InMemoryEdb>> LoadDlgpFactsFile(

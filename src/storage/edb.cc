@@ -5,7 +5,7 @@
 
 #include "base/check.h"
 #include "model/term.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 
 namespace gchase {
 
@@ -176,8 +176,7 @@ void InMemoryEdb::ReserveRows(uint32_t table_index, uint64_t extra_rows) {
 Status SeedInstanceFromEdb(const EdbDatabase& edb, Vocabulary* vocabulary,
                            Instance* instance, MemoryBudget* budget,
                            EdbSeedStats* stats) {
-  GCHASE_TRACE_SPAN(TraceCategory::kStorage, "storage.edb_seed",
-                    edb.TotalRows());
+  PhaseScope seed_scope(Phase::kStorageEdbSeed, edb.TotalRows());
   EdbSeedStats local;
   EdbSeedStats& out = stats != nullptr ? *stats : local;
   out = EdbSeedStats{};

@@ -5,8 +5,7 @@
 #include <string_view>
 #include <vector>
 
-#include "base/timer.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define GCHASE_EDB_HAVE_MMAP 1
@@ -128,8 +127,7 @@ class MappedEdb final : public EdbDatabase {
 }  // namespace
 
 Status WriteEdbSnapshot(const EdbDatabase& edb, const std::string& path) {
-  GCHASE_TRACE_SPAN(TraceCategory::kStorage, "storage.edb_snapshot_write",
-                    edb.TotalRows());
+  PhaseScope write_scope(Phase::kStorageEdbSnapshotWrite, edb.TotalRows());
   const EdbDictionary& dictionary = edb.dictionary();
   const uint32_t num_terms = dictionary.size();
   const uint32_t num_tables = edb.num_tables();
@@ -217,9 +215,9 @@ Status WriteEdbSnapshot(const EdbDatabase& edb, const std::string& path) {
 
 StatusOr<std::unique_ptr<EdbDatabase>> OpenEdbSnapshot(const std::string& path,
                                                        MemoryBudget* budget) {
-  GCHASE_TRACE_SPAN(TraceCategory::kStorage, "storage.edb_snapshot_open", 0);
-  WallTimer timer;
   auto db = std::make_unique<MappedEdb>();
+  EdbLoadStats* stats = db->mutable_load_stats();
+  PhaseScope open_scope(Phase::kStorageEdbSnapshotOpen, 0, &stats->seconds);
   uint64_t file_size = 0;
 
 #if GCHASE_EDB_HAVE_MMAP
@@ -353,10 +351,8 @@ StatusOr<std::unique_ptr<EdbDatabase>> OpenEdbSnapshot(const std::string& path,
     db->budget_ = budget;
     db->charged_bytes_ = file_size;
   }
-  EdbLoadStats* stats = db->mutable_load_stats();
   stats->input_bytes = file_size;
   stats->rows = db->TotalRows();
-  stats->seconds = timer.ElapsedSeconds();
   return StatusOr<std::unique_ptr<EdbDatabase>>(std::move(db));
 }
 

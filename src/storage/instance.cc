@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "obs/histogram.h"
-#include "obs/metrics.h"
-#include "obs/perf_counters.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 
 namespace gchase {
 
@@ -51,13 +48,9 @@ void Instance::GrowDedup(std::size_t want) {
   std::size_t capacity = dedup_ids_.empty() ? 16 : dedup_ids_.size();
   while (want * 2 > capacity) capacity *= 2;
   if (capacity == dedup_ids_.size()) return;
-  // Span only inside the actual-grow branch: the early-outs above are
-  // the TryAdd fast path and must stay untraced.
-  GCHASE_TRACE_SPAN_PERF(TraceCategory::kStorage, "storage.grow_dedup",
-                         capacity, PerfPhase::kDedupGrowth);
-  static MetricHistogram* const grow_hist =
-      MetricsRegistry::Global().Histogram("storage.dedup_grow_ns");
-  LatencyTimer grow_timer(grow_hist);
+  // Scope only inside the actual-grow branch: the early-outs above are
+  // the TryAdd fast path and must stay untimed.
+  PhaseScope grow(Phase::kStorageGrowDedup, capacity);
   const uint64_t bytes_before = VectorBytes(dedup_hashes_) + VectorBytes(dedup_ids_);
   std::vector<uint64_t> old_hashes = std::move(dedup_hashes_);
   std::vector<AtomId> old_ids = std::move(dedup_ids_);
@@ -241,7 +234,7 @@ uint32_t Instance::CountNulls() const {
 void Instance::ReserveAdditional(uint64_t extra_atoms, uint64_t extra_terms) {
   // The pre-round bulk rebuild of every index: arena, dedup table,
   // position index. This is where round-boundary rebuild time goes.
-  GCHASE_TRACE_SPAN(TraceCategory::kStorage, "storage.reserve", extra_atoms);
+  PhaseScope reserve(Phase::kStorageReserve, extra_atoms);
   uint64_t before = arena_.capacity_bytes();
   arena_.Reserve(arena_.size() + extra_terms);
   AccountGrowth(before, arena_.capacity_bytes());

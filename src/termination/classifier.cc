@@ -1,14 +1,13 @@
 #include "termination/classifier.h"
 
-#include "base/timer.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 
 namespace gchase {
 
 StatusOr<ClassifierReport> ClassifyTermination(
     const RuleSet& rules, Vocabulary* vocabulary,
     const ClassifierOptions& options) {
-  GCHASE_TRACE_SPAN(TraceCategory::kDecider, "decider.classify", rules.size());
+  PhaseScope classify(Phase::kDeciderClassify, rules.size());
   ClassifierReport report;
   report.rule_class = rules.Classify();
 
@@ -16,8 +15,7 @@ StatusOr<ClassifierReport> ClassifyTermination(
   // (no chase), finish in microseconds, and run ungoverned.
   const Schema& schema = vocabulary->schema;
   {
-    GCHASE_TRACE_SPAN(TraceCategory::kDecider, "decider.acyclicity",
-                      rules.size());
+    PhaseScope acyclicity(Phase::kDeciderAcyclicity, rules.size());
     report.weakly_acyclic = CheckWeakAcyclicity(rules, schema).acyclic;
     report.richly_acyclic = CheckRichAcyclicity(rules, schema).acyclic;
     report.jointly_acyclic = CheckJointAcyclicity(rules, schema).acyclic;
@@ -39,9 +37,8 @@ StatusOr<ClassifierReport> ClassifyTermination(
 
   auto analyze = [&](ChaseVariant variant, double budget_fraction,
                      VariantAnalysis* analysis) -> Status {
-    GCHASE_TRACE_SPAN(TraceCategory::kDecider, "decider.variant",
-                      static_cast<uint64_t>(variant));
-    WallTimer timer;
+    PhaseScope scope(Phase::kDeciderVariant, static_cast<uint64_t>(variant),
+                     &analysis->seconds);
     if (use_syntactic) {
       // Theorem 1: CT_o ∩ SL = RA ∩ SL and CT_so ∩ SL = WA ∩ SL.
       const bool acyclic = variant == ChaseVariant::kOblivious
@@ -67,7 +64,6 @@ StatusOr<ClassifierReport> ClassifyTermination(
       analysis->method = "critical-instance decider (Thm 2/4)";
       analysis->decider = *std::move(result);
     }
-    analysis->seconds = timer.ElapsedSeconds();
     return Status::Ok();
   };
 

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <new>
 
-#include "base/timer.h"
 #include "model/printer.h"
-#include "obs/histogram.h"
-#include "obs/metrics.h"
-#include "obs/perf_counters.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 
 namespace gchase {
 
@@ -39,8 +35,7 @@ StatusOr<DeciderResult> DecideTermination(const RuleSet& rules,
   critical_options.excluded_constants = options.excluded_constants;
   std::vector<Atom> database;
   {
-    GCHASE_TRACE_SPAN(TraceCategory::kDecider, "decider.critical_instance",
-                      rules.size());
+    PhaseScope critical(Phase::kDeciderCriticalInstance, rules.size());
     database = BuildCriticalInstance(rules, vocabulary, critical_options);
   }
 
@@ -58,18 +53,17 @@ StatusOr<DeciderResult> DecideTermination(const RuleSet& rules,
   chase_options.cancel = options.cancel;
   chase_options.fault_injector = options.fault_injector;
 
-  WallTimer timer;
   DeciderResult result;
+  double chase_seconds = 0.0;
   // API-boundary containment: seeding the critical-instance chase (the
   // ChaseRun constructor) and provenance growth both allocate outside
   // Execute()'s own bad_alloc guard. An allocator failure anywhere in the
   // exploration degrades to the same verdict a budget trip produces.
   try {
+    PhaseScope chase(Phase::kDeciderChase, static_cast<uint64_t>(variant),
+                     &chase_seconds);
     ChaseRun run(rules, chase_options, database);
     PumpDetector detector(run, options.pump);
-
-    GCHASE_TRACE_SPAN(TraceCategory::kDecider, "decider.chase",
-                      static_cast<uint64_t>(variant));
     ChaseOutcome outcome = run.Execute([&](AtomId atom) {
       std::optional<PumpCertificate> certificate = detector.OnAtom(atom);
       if (certificate.has_value()) {
@@ -120,14 +114,15 @@ StatusOr<DeciderResult> DecideTermination(const RuleSet& rules,
         result.verdict = TerminationVerdict::kUnknown;
         result.unknown.reason = StopReasonOf(outcome);
         result.unknown.phase = "exact";
-        result.unknown.elapsed_seconds = timer.ElapsedSeconds();
         break;
     }
   } catch (const std::bad_alloc&) {
     result.verdict = TerminationVerdict::kUnknown;
     result.unknown.reason = StopReason::kMemory;
     result.unknown.phase = "exact";
-    result.unknown.elapsed_seconds = timer.ElapsedSeconds();
+  }
+  if (result.verdict == TerminationVerdict::kUnknown) {
+    result.unknown.elapsed_seconds = chase_seconds;
   }
   return result;
 }
@@ -135,7 +130,8 @@ StatusOr<DeciderResult> DecideTermination(const RuleSet& rules,
 StatusOr<DeciderResult> DecideTerminationWithFallback(
     const RuleSet& rules, Vocabulary* vocabulary, ChaseVariant variant,
     const DeciderOptions& options) {
-  WallTimer timer;
+  // Exact plus probe wall time, for a probe that gives up too.
+  double seconds = 0.0;
 
   // Phase 1 — exact: full caps, 3/4 of the remaining wall-clock budget
   // (the probe is cheap; reserving a quarter guarantees it gets a turn).
@@ -143,12 +139,8 @@ StatusOr<DeciderResult> DecideTerminationWithFallback(
   exact.deadline =
       Deadline::Earlier(options.deadline, options.deadline.Slice(0.75));
   StatusOr<DeciderResult> first = [&] {
-    GCHASE_TRACE_SPAN_PERF(TraceCategory::kDecider, "decider.exact",
-                           static_cast<uint64_t>(variant),
-                           PerfPhase::kDecider);
-    static MetricHistogram* const phase_hist =
-        MetricsRegistry::Global().Histogram("decider.phase_ns");
-    LatencyTimer phase_timer(phase_hist);
+    PhaseScope scope(Phase::kDeciderExact, static_cast<uint64_t>(variant),
+                     &seconds);
     return DecideTermination(rules, vocabulary, variant, exact);
   }();
   if (!first.ok()) return first;
@@ -167,19 +159,15 @@ StatusOr<DeciderResult> DecideTerminationWithFallback(
       std::min<uint64_t>(options.max_hom_discoveries, 1ull << 20);
   probe.max_join_work = std::min<uint64_t>(options.max_join_work, 1ull << 24);
   StatusOr<DeciderResult> second = [&] {
-    GCHASE_TRACE_SPAN_PERF(TraceCategory::kDecider, "decider.probe",
-                           static_cast<uint64_t>(variant),
-                           PerfPhase::kDecider);
-    static MetricHistogram* const phase_hist =
-        MetricsRegistry::Global().Histogram("decider.phase_ns");
-    LatencyTimer phase_timer(phase_hist);
+    PhaseScope scope(Phase::kDeciderProbe, static_cast<uint64_t>(variant),
+                     &seconds);
     return DecideTermination(rules, vocabulary, variant, probe);
   }();
   if (!second.ok()) return second;
   second->phase = "probe";
   if (second->verdict == TerminationVerdict::kUnknown) {
     second->unknown.phase = "probe";
-    second->unknown.elapsed_seconds = timer.ElapsedSeconds();
+    second->unknown.elapsed_seconds = seconds;
   }
   return second;
 }

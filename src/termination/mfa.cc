@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "chase/chase.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 #include "termination/critical_instance.h"
 
 namespace gchase {
@@ -46,7 +46,7 @@ class AncestryTracker {
 StatusOr<MfaResult> CheckModelFaithfulAcyclicity(const RuleSet& rules,
                                                  Vocabulary* vocabulary,
                                                  const MfaOptions& options) {
-  GCHASE_TRACE_SPAN(TraceCategory::kDecider, "decider.mfa", rules.size());
+  PhaseScope mfa(Phase::kDeciderMfa, rules.size());
   // Tag = dense id of (rule, existential variable).
   std::vector<uint32_t> tag_offset(rules.size() + 1, 0);
   for (uint32_t r = 0; r < rules.size(); ++r) {

@@ -1,6 +1,6 @@
 #include "termination/restricted_probe.h"
 
-#include "obs/trace.h"
+#include "obs/phase.h"
 #include "termination/critical_instance.h"
 
 namespace gchase {
@@ -80,7 +80,7 @@ StatusOr<RestrictedProbeResult> ProbeRestrictedTermination(
   }
   std::vector<ChaseOutcome> outcomes(runs.size(), ChaseOutcome::kTerminated);
   auto execute = [&](uint64_t i) {
-    GCHASE_TRACE_SPAN(TraceCategory::kDecider, "decider.probe_round", i);
+    PhaseScope probe_round(Phase::kDeciderProbeRound, i);
     outcomes[i] =
         RunOnce(rules, facts, options, runs[i].order, runs[i].seed);
   };

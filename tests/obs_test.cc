@@ -24,6 +24,7 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
+#include "obs/phase.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -121,9 +122,9 @@ TEST(TracerTest, SpansNestAndOrder) {
   Tracer& tracer = Tracer::Global();
   tracer.Start(ConfigFor(kAllTraceCategories));
   {
-    GCHASE_TRACE_SPAN(TraceCategory::kChase, "outer", 1);
+    PhaseScope outer(Phase::kChaseRound, 1);
     {
-      GCHASE_TRACE_SPAN(TraceCategory::kChase, "inner", 2);
+      PhaseScope inner(Phase::kChaseDiscovery, 2);
       GCHASE_TRACE_INSTANT(TraceCategory::kChase, "tick", 3);
     }
   }
@@ -131,16 +132,16 @@ TEST(TracerTest, SpansNestAndOrder) {
 
   std::vector<TraceEvent> events = AllEvents();
   ASSERT_EQ(events.size(), 5u);
-  EXPECT_STREQ(events[0].name, "outer");
+  EXPECT_STREQ(events[0].name, "chase.round");
   EXPECT_EQ(events[0].phase, TracePhase::kBegin);
   EXPECT_EQ(events[0].arg, 1u);
-  EXPECT_STREQ(events[1].name, "inner");
+  EXPECT_STREQ(events[1].name, "chase.discovery");
   EXPECT_EQ(events[1].phase, TracePhase::kBegin);
   EXPECT_STREQ(events[2].name, "tick");
   EXPECT_EQ(events[2].phase, TracePhase::kInstant);
-  EXPECT_STREQ(events[3].name, "inner");
+  EXPECT_STREQ(events[3].name, "chase.discovery");
   EXPECT_EQ(events[3].phase, TracePhase::kEnd);
-  EXPECT_STREQ(events[4].name, "outer");
+  EXPECT_STREQ(events[4].name, "chase.round");
   EXPECT_EQ(events[4].phase, TracePhase::kEnd);
   for (const Tracer::ThreadEvents& thread : tracer.Collect()) {
     ExpectBalanced(thread);
@@ -153,16 +154,16 @@ TEST(TracerTest, CategoryFilteringDropsDisabledCategories) {
   EXPECT_TRUE(tracer.enabled(TraceCategory::kChase));
   EXPECT_FALSE(tracer.enabled(TraceCategory::kPool));
   {
-    GCHASE_TRACE_SPAN(TraceCategory::kChase, "kept");
-    GCHASE_TRACE_SPAN(TraceCategory::kPool, "filtered");
+    PhaseScope kept(Phase::kChaseRound);
+    PhaseScope filtered(Phase::kPoolJob);
     GCHASE_TRACE_INSTANT(TraceCategory::kStorage, "filtered_too", 0);
   }
   tracer.Stop();
 
   std::vector<TraceEvent> events = AllEvents();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_STREQ(events[0].name, "kept");
-  EXPECT_STREQ(events[1].name, "kept");
+  EXPECT_STREQ(events[0].name, "chase.round");
+  EXPECT_STREQ(events[1].name, "chase.round");
   // Filtering is not dropping: nothing was lost, nothing is counted.
   EXPECT_EQ(tracer.TotalDropped(), 0u);
 }
@@ -209,12 +210,12 @@ TEST(TracerTest, SaturatedSpansStillClose) {
   // close everything. The reserved end slack guarantees the recorded
   // span's end still lands, so the trace stays balanced.
   {
-    GCHASE_TRACE_SPAN(TraceCategory::kChase, "recorded_span");
+    PhaseScope recorded(Phase::kChaseRound);
     for (int i = 0; i < 50; ++i) {
       GCHASE_TRACE_INSTANT(TraceCategory::kChase, "filler", i);
     }
     {
-      GCHASE_TRACE_SPAN(TraceCategory::kChase, "dropped_span");
+      PhaseScope dropped(Phase::kChaseApply);
       GCHASE_TRACE_INSTANT(TraceCategory::kChase, "more", 0);
     }
   }
@@ -228,7 +229,7 @@ TEST(TracerTest, SaturatedSpansStillClose) {
   uint64_t begins = 0;
   uint64_t ends = 0;
   for (const TraceEvent& event : threads[0].events) {
-    if (std::string(event.name) != "recorded_span") continue;
+    if (std::string(event.name) != "chase.round") continue;
     if (event.phase == TracePhase::kBegin) ++begins;
     if (event.phase == TracePhase::kEnd) ++ends;
   }
@@ -259,7 +260,7 @@ TEST(TracerTest, DisabledTracerRecordsNothingAndAllocatesNothing) {
 
   const uint64_t buffers_before = tracer.buffers_created();
   for (int i = 0; i < 1000; ++i) {
-    GCHASE_TRACE_SPAN(TraceCategory::kChase, "noop", i);
+    PhaseScope noop(Phase::kChaseRound, i);
     GCHASE_TRACE_INSTANT(TraceCategory::kPool, "noop_instant", i);
   }
   // No category enabled: no events stored, no buffer ever allocated —
@@ -279,7 +280,7 @@ TEST(TracerTest, ConcurrentRecordingFromPoolWorkers) {
   {
     ThreadPool pool(8);
     pool.ParallelFor(256, [&work](uint64_t i) {
-      GCHASE_TRACE_SPAN(TraceCategory::kChase, "unit", i);
+      PhaseScope unit(Phase::kChaseDiscovery, i);
       GCHASE_TRACE_INSTANT(TraceCategory::kChase, "unit_tick", i);
       work.fetch_add(i, std::memory_order_relaxed);
       if (i == 128) {
@@ -295,7 +296,7 @@ TEST(TracerTest, ConcurrentRecordingFromPoolWorkers) {
   for (const Tracer::ThreadEvents& thread : tracer.Collect()) {
     ExpectBalanced(thread);
     for (const TraceEvent& event : thread.events) {
-      if (std::string(event.name) == "unit" &&
+      if (std::string(event.name) == "chase.discovery" &&
           event.phase == TracePhase::kBegin) {
         ++units;
       }
@@ -313,7 +314,7 @@ TEST(TraceExportTest, ChromeJsonShapeAndBalance) {
   Tracer& tracer = Tracer::Global();
   tracer.Start(ConfigFor(kAllTraceCategories));
   {
-    GCHASE_TRACE_SPAN(TraceCategory::kChase, "export_outer", 7);
+    PhaseScope outer(Phase::kChaseRound, 7);
     GCHASE_TRACE_INSTANT(TraceCategory::kPool, "export_tick", 9);
   }
   tracer.RecordComplete(TraceCategory::kChase, "export_slow", 0, 1'000'000, 3);
@@ -330,7 +331,7 @@ TEST(TraceExportTest, ChromeJsonShapeAndBalance) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"export_outer\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"chase.round\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"B\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"E\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
@@ -355,12 +356,12 @@ TEST(TraceExportTest, FlameSummaryAggregatesSpans) {
   Tracer& tracer = Tracer::Global();
   tracer.Start(ConfigFor(kAllTraceCategories));
   for (int i = 0; i < 3; ++i) {
-    GCHASE_TRACE_SPAN(TraceCategory::kChase, "summary_span", i);
+    PhaseScope scope(Phase::kChaseApply, i);
   }
   tracer.Stop();
 
   const std::string summary = TraceFlameSummary(tracer.Collect());
-  EXPECT_NE(summary.find("summary_span"), std::string::npos);
+  EXPECT_NE(summary.find("chase.apply"), std::string::npos);
   EXPECT_NE(summary.find("3"), std::string::npos);  // count column
 }
 
@@ -599,17 +600,18 @@ TEST(HistogramTest, ConcurrentRecordingLosesNothing) {
   EXPECT_EQ(hist.max(), n - 1);
 }
 
-TEST(HistogramTest, LatencyTimerIsInertWhenProfilingOff) {
+TEST(HistogramTest, PhaseHistogramIsInertWhenProfilingOff) {
   const bool was_enabled = ProfilingEnabled();
-  MetricHistogram hist;
+  MetricHistogram* hist =
+      MetricsRegistry::Global().Histogram("chase.head_check_ns");
+  const uint64_t before = hist->count();
   SetProfilingEnabled(false);
-  { LatencyTimer timer(&hist); }
-  EXPECT_EQ(hist.count(), 0u) << "disabled profiling must not record";
-  { LatencyTimer null_timer(nullptr); }  // null histogram is always inert
+  { PhaseScope scope(Phase::kChaseHeadCheck); }
+  EXPECT_EQ(hist->count(), before) << "disabled profiling must not record";
 
   SetProfilingEnabled(true);
-  { LatencyTimer timer(&hist); }
-  EXPECT_EQ(hist.count(), 1u);
+  { PhaseScope scope(Phase::kChaseHeadCheck); }
+  EXPECT_EQ(hist->count(), before + 1);
   SetProfilingEnabled(was_enabled);
 }
 
@@ -658,7 +660,7 @@ TEST(PerfCountersTest, DisabledScopesAreInert) {
   DisablePerfCounters();
   ResetPerfCounters();
   {
-    PerfPhaseScope scope(PerfPhase::kDecider);
+    PhaseScope scope(Phase::kDeciderExact);
   }
   EXPECT_EQ(PerfTotalsForPhase(PerfPhase::kDecider).scopes, 0u);
 }
@@ -672,12 +674,12 @@ TEST(PerfCountersTest, EnableDegradesGracefullyOrCounts) {
     // The unavailable path must still explain itself and stay inert.
     EXPECT_FALSE(PerfUnavailableReason().empty());
     {
-      PerfPhaseScope scope(PerfPhase::kDecider);
+      PhaseScope scope(Phase::kDeciderExact);
     }
     EXPECT_EQ(PerfTotalsForPhase(PerfPhase::kDecider).scopes, 0u);
   } else {
     {
-      PerfPhaseScope scope(PerfPhase::kDecider);
+      PhaseScope scope(Phase::kDeciderExact);
       // Burn a little CPU so task-clock has something to see.
       volatile uint64_t sink = 0;
       for (uint64_t i = 0; i < 100000; ++i) sink = sink + i;
@@ -701,6 +703,169 @@ TEST(PerfCountersTest, EnableDegradesGracefullyOrCounts) {
   DisablePerfCounters();
   ResetPerfCounters();
   EXPECT_FALSE(PerfCountersEnabled());
+}
+
+// -------------------------------------------------------------------------
+// PhaseScope: one clock reading feeds the seconds sink, the histogram,
+// the trace span and the perf delta. (c) is also a TSan target.
+
+/// Durations (E.ts - B.ts) of every span named `name` in one thread's
+/// events, in the order the spans closed.
+std::vector<uint64_t> SpanDurations(const std::vector<TraceEvent>& events,
+                                    const char* name) {
+  std::vector<uint64_t> open;
+  std::vector<uint64_t> durations;
+  for (const TraceEvent& event : events) {
+    if (std::string(event.name) != name) continue;
+    if (event.phase == TracePhase::kBegin) open.push_back(event.ts_ns);
+    if (event.phase == TracePhase::kEnd && !open.empty()) {
+      durations.push_back(event.ts_ns - open.back());
+      open.pop_back();
+    }
+  }
+  return durations;
+}
+
+uint64_t Nanos(double seconds) {
+  return static_cast<uint64_t>(std::llround(seconds * 1e9));
+}
+
+TEST(PhaseScopeTest, EverythingOffStillWritesTheSink) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Start(ConfigFor(kAllTraceCategories));
+  tracer.Stop();
+  const bool was_profiling = ProfilingEnabled();
+  SetProfilingEnabled(false);
+  DisablePerfCounters();
+  ResetPerfCounters();
+  MetricHistogram* hist =
+      MetricsRegistry::Global().Histogram("decider.phase_ns");
+  const uint64_t hist_before = hist->count();
+  const uint64_t buffers_before = tracer.buffers_created();
+
+  double seconds = 0.0;
+  {
+    PhaseScope scope(Phase::kDeciderExact, 1, &seconds);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const double first = seconds;
+  EXPECT_GE(first, 1e-3);
+  {
+    PhaseScope scope(Phase::kDeciderProbe, 2, &seconds);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(seconds, first + 1e-3) << "the sink accumulates";
+
+  EXPECT_EQ(tracer.buffers_created(), buffers_before);
+  EXPECT_TRUE(AllEvents().empty());
+  EXPECT_EQ(hist->count(), hist_before);
+  EXPECT_EQ(PerfTotalsForPhase(PerfPhase::kDecider).scopes, 0u);
+  SetProfilingEnabled(was_profiling);
+}
+
+TEST(PhaseScopeTest, OneReadingFeedsStatsSpansAndHistograms) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Start(ConfigFor(static_cast<uint32_t>(TraceCategory::kChase)));
+  const bool was_profiling = ProfilingEnabled();
+  SetProfilingEnabled(true);
+  MetricsRegistry::Global().Reset();
+
+  // Transitive closure of a 6-edge chain: several rounds, then one
+  // terminal discovery pass that finds nothing.
+  ParsedProgram program = MustParse(
+      "e(X,Y) -> p(X,Y).\n"
+      "p(X,Y), e(Y,Z) -> p(X,Z).\n"
+      "e(a,b). e(b,c). e(c,d). e(d,f). e(f,g). e(g,h).\n");
+  ChaseRun run(program.rules, ChaseOptions{}, program.facts);
+  ASSERT_EQ(run.Execute(), ChaseOutcome::kTerminated);
+  tracer.Stop();
+  SetProfilingEnabled(was_profiling);
+
+  const ChaseStats& stats = run.stats();
+  const std::size_t rounds = stats.per_round.size();
+  ASSERT_GE(rounds, 3u);
+  const std::vector<TraceEvent> events = AllEvents();
+  const std::vector<uint64_t> discovery =
+      SpanDurations(events, "chase.discovery");
+  const std::vector<uint64_t> apply = SpanDurations(events, "chase.apply");
+  const std::vector<uint64_t> round = SpanDurations(events, "chase.round");
+  ASSERT_EQ(discovery.size(), rounds + 1);
+  ASSERT_EQ(apply.size(), rounds);
+  ASSERT_EQ(round.size(), rounds + 1);
+  uint64_t discovery_sum = 0;
+  uint64_t apply_sum = 0;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const RoundStats& stat = stats.per_round[r];
+    EXPECT_NEAR(discovery[r], Nanos(stat.discovery_seconds), 1) << r;
+    EXPECT_NEAR(apply[r], Nanos(stat.apply_seconds), 1) << r;
+    EXPECT_NEAR(round[r], Nanos(stat.total_seconds), 1) << r;
+    discovery_sum += discovery[r];
+    apply_sum += apply[r];
+  }
+  EXPECT_NEAR(discovery[rounds], Nanos(stats.final_discovery_seconds), 1);
+  discovery_sum += discovery[rounds];
+
+  // Every pass records, the terminal one included: rounds + 1 samples.
+  const MetricsRegistry& registry = MetricsRegistry::Global();
+  const MetricHistogram* discovery_hist =
+      registry.FindHistogram("chase.discovery_ns");
+  const MetricHistogram* apply_hist = registry.FindHistogram("chase.apply_ns");
+  const MetricHistogram* round_hist = registry.FindHistogram("chase.round_ns");
+  ASSERT_NE(discovery_hist, nullptr);
+  ASSERT_NE(apply_hist, nullptr);
+  ASSERT_NE(round_hist, nullptr);
+  EXPECT_EQ(discovery_hist->count(), rounds + 1);
+  EXPECT_EQ(apply_hist->count(), rounds);
+  EXPECT_EQ(round_hist->count(), rounds + 1);
+  EXPECT_EQ(discovery_hist->sum(), discovery_sum);
+  EXPECT_EQ(apply_hist->sum(), apply_sum);
+  double stats_discovery = stats.final_discovery_seconds;
+  double stats_apply = 0.0;
+  for (const RoundStats& stat : stats.per_round) {
+    stats_discovery += stat.discovery_seconds;
+    stats_apply += stat.apply_seconds;
+  }
+  EXPECT_NEAR(discovery_hist->sum(), Nanos(stats_discovery), rounds + 1);
+  EXPECT_NEAR(apply_hist->sum(), Nanos(stats_apply), rounds);
+}
+
+TEST(PhaseScopeTest, ConcurrentScopesLoseNoSamples) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Start(ConfigFor(kAllTraceCategories));
+  const bool was_profiling = ProfilingEnabled();
+  SetProfilingEnabled(true);
+  MetricsRegistry::Global().Reset();
+
+  constexpr uint64_t kUnits = 1000;
+  std::vector<double> seconds(kUnits, 0.0);
+  {
+    ThreadPool pool(4);
+    pool.ParallelFor(kUnits, [&seconds](uint64_t u) {
+      PhaseScope scope(Phase::kChaseBatchFlush, u, &seconds[u]);
+    });
+  }
+  tracer.Stop();
+  SetProfilingEnabled(was_profiling);
+
+  uint64_t spans = 0;
+  uint64_t span_ns = 0;
+  for (const Tracer::ThreadEvents& thread : tracer.Collect()) {
+    ExpectBalanced(thread);
+    for (uint64_t ns : SpanDurations(thread.events, "chase.batch_flush")) {
+      ++spans;
+      span_ns += ns;
+    }
+  }
+  EXPECT_EQ(spans, kUnits);
+  const MetricsRegistry& registry = MetricsRegistry::Global();
+  const MetricHistogram* hist = registry.FindHistogram("chase.batch_flush_ns");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count(), kUnits);
+  EXPECT_EQ(hist->sum(), span_ns);
+  double total = 0.0;
+  for (double s : seconds) total += s;
+  EXPECT_NEAR(hist->sum(), Nanos(total), kUnits);
+  EXPECT_EQ(registry.FindHistogram("pool.job_ns")->count(), 1u);
 }
 
 // -------------------------------------------------------------------------

@@ -68,7 +68,6 @@ inline std::string ChaseStatsToJson(const ChaseStats& stats) {
   std::string out = "{";
   out += "\"discovery_threads\": " + JsonNumber(uint64_t{stats.discovery_threads});
   out += ", \"parallel_rounds\": " + JsonNumber(stats.parallel_rounds);
-  out += ", \"plannable_rules\": " + JsonNumber(uint64_t{stats.plannable_rules});
   out += ", \"load_ms\": " + JsonNumber(stats.load_seconds * 1e3);
   out += ", \"edb_atoms\": " + JsonNumber(stats.edb_atoms);
   out += ", \"load_bytes\": " + JsonNumber(stats.load_bytes);
@@ -90,13 +89,7 @@ inline std::string ChaseStatsToJson(const ChaseStats& stats) {
     out += "{\"discovered\": " + JsonNumber(rule.discovered);
     out += ", \"applied\": " + JsonNumber(rule.applied);
     out += ", \"skipped_satisfied\": " + JsonNumber(rule.skipped_satisfied);
-    out += ", \"plan_rotations\": " + JsonNumber(rule.plan_rotations);
-    out += ", \"plan_order\": [";
-    for (std::size_t c = 0; c < rule.plan_order.size(); ++c) {
-      if (c > 0) out += ", ";
-      out += JsonNumber(uint64_t{rule.plan_order[c]});
-    }
-    out += "]}";
+    out += "}";
   }
   out += "], \"final_discovery_ms\": " +
          JsonNumber(stats.final_discovery_seconds * 1e3);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 namespace gchase {
 
@@ -101,6 +102,56 @@ class MemoryBudget {
   std::atomic<uint64_t> in_use_{0};
   std::atomic<uint64_t> peak_{0};
   std::atomic<uint64_t> denials_{0};
+};
+
+/// RAII handle on one structure's charge against a MemoryBudget: releases
+/// on destruction or re-attach, drops on copy (copies are unbudgeted),
+/// transfers on move — which keeps an owner's implicit copy and move
+/// correct without hand-written member lists. The budget must outlive the
+/// attachment.
+class BudgetAttachment {
+ public:
+  BudgetAttachment() = default;
+  ~BudgetAttachment() { Reset(nullptr); }
+  BudgetAttachment(const BudgetAttachment&) {}
+  BudgetAttachment& operator=(const BudgetAttachment&) {
+    Reset(nullptr);
+    return *this;
+  }
+  BudgetAttachment(BudgetAttachment&& other) noexcept
+      : budget_(std::exchange(other.budget_, nullptr)),
+        charged_(std::exchange(other.charged_, 0)) {}
+  BudgetAttachment& operator=(BudgetAttachment&& other) noexcept {
+    if (this != &other) {
+      Reset(nullptr);
+      budget_ = std::exchange(other.budget_, nullptr);
+      charged_ = std::exchange(other.charged_, 0);
+    }
+    return *this;
+  }
+
+  /// Releases the outstanding charge and attaches `budget` (nullptr
+  /// detaches).
+  void Reset(MemoryBudget* budget) {
+    if (budget_ != nullptr && charged_ != 0) budget_->Release(charged_);
+    budget_ = budget;
+    charged_ = 0;
+  }
+  void Charge(uint64_t bytes) {
+    if (budget_ == nullptr || bytes == 0) return;
+    budget_->Charge(bytes);
+    charged_ += bytes;
+  }
+  /// Ratchets the charge up to `bytes` of retained capacity; never
+  /// releases, since a reused buffer keeps its capacity.
+  void ChargeUpTo(uint64_t bytes) {
+    if (bytes > charged_) Charge(bytes - charged_);
+  }
+  MemoryBudget* get() const { return budget_; }
+
+ private:
+  MemoryBudget* budget_ = nullptr;
+  uint64_t charged_ = 0;
 };
 
 }  // namespace gchase

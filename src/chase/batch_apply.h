@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/check.h"
 #include "base/memory_budget.h"
 #include "model/atom.h"
 
@@ -33,9 +34,6 @@ class HeadBlock {
   HeadBlock() = default;
   HeadBlock(const HeadBlock&) = delete;
   HeadBlock& operator=(const HeadBlock&) = delete;
-  ~HeadBlock() {
-    if (budget_ != nullptr) budget_->Release(charged_bytes_);
-  }
 
   /// Reserves a row of `arity` terms for one head atom of `pred` and
   /// returns the slot to write its ground arguments into. The pointer is
@@ -50,7 +48,7 @@ class HeadBlock {
     ++atoms_;
     const std::size_t offset = terms_.size();
     terms_.resize(offset + arity);
-    TrackGrowth();
+    budget_.ChargeUpTo(capacity_bytes());
     return terms_.data() + offset;
   }
 
@@ -79,28 +77,15 @@ class HeadBlock {
   /// Attaches (or detaches, with nullptr) a budget to charge the staging
   /// buffers' retained capacity to. Charges the current capacity
   /// immediately and every later growth as it happens; the outstanding
-  /// charge is released on re-attach or destruction. The budget must
-  /// outlive the block.
+  /// charge is released on re-attach or destruction. Capacity never
+  /// shrinks (Clear() retains it), so the charge only ratchets up. The
+  /// budget must outlive the block.
   void SetMemoryBudget(MemoryBudget* budget) {
-    if (budget_ != nullptr) budget_->Release(charged_bytes_);
-    budget_ = budget;
-    charged_bytes_ = 0;
-    TrackGrowth();
+    budget_.Reset(budget);
+    budget_.ChargeUpTo(capacity_bytes());
   }
 
  private:
-  /// Charges any capacity growth since the last call to the attached
-  /// budget. Capacity never shrinks (Clear() retains it), so the charge
-  /// only ratchets up.
-  void TrackGrowth() {
-    if (budget_ == nullptr) return;
-    const uint64_t now = capacity_bytes();
-    if (now > charged_bytes_) {
-      budget_->Charge(now - charged_bytes_);
-      charged_bytes_ = now;
-    }
-  }
-
   /// A maximal run of staged rows sharing one (predicate, arity) shape.
   struct Segment {
     PredicateId predicate = 0;
@@ -112,8 +97,57 @@ class HeadBlock {
   std::vector<Segment> segments_;
   std::vector<Term> terms_;
   uint32_t atoms_ = 0;
-  MemoryBudget* budget_ = nullptr;
-  uint64_t charged_bytes_ = 0;
+  BudgetAttachment budget_;
+};
+
+/// Columnar buffer of fixed-width binding rows (one row = the images of
+/// one rule's variables, unbound slots holding the UnboundTerm sentinel).
+/// Each discovery unit writes its homomorphisms into one of these instead
+/// of per-trigger Binding vectors. Retained capacity is charged to an
+/// attached budget with the HeadBlock ratchet.
+class BindingSegment {
+ public:
+  BindingSegment() = default;
+  BindingSegment(const BindingSegment&) = delete;
+  BindingSegment& operator=(const BindingSegment&) = delete;
+
+  void SetWidth(uint32_t width) {
+    GCHASE_CHECK(terms_.empty());
+    width_ = width;
+  }
+  uint32_t width() const { return width_; }
+  uint64_t rows() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+
+  /// Copies one row of `width()` terms into the segment.
+  void AppendRow(const Term* row) {
+    terms_.insert(terms_.end(), row, row + width_);
+    ++rows_;
+    budget_.ChargeUpTo(capacity_bytes());
+  }
+
+  const Term* row(uint64_t r) const { return terms_.data() + r * width_; }
+
+  void Clear() {
+    terms_.clear();
+    rows_ = 0;
+  }
+
+  /// Bytes of heap capacity currently retained. Clear() keeps capacity,
+  /// so this is a high-water figure by design.
+  uint64_t capacity_bytes() const { return terms_.capacity() * sizeof(Term); }
+
+  /// Same contract as HeadBlock::SetMemoryBudget.
+  void SetMemoryBudget(MemoryBudget* budget) {
+    budget_.Reset(budget);
+    budget_.ChargeUpTo(capacity_bytes());
+  }
+
+ private:
+  std::vector<Term> terms_;
+  uint32_t width_ = 0;
+  uint64_t rows_ = 0;
+  BudgetAttachment budget_;
 };
 
 }  // namespace gchase

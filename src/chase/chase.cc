@@ -88,9 +88,6 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
   stats_.memory_budget_bytes =
       memory_budget_->limited() ? memory_budget_->hard_limit_bytes() : 0;
   stats_.per_rule.assign(rules_.size(), RuleStats{});
-  // Compile the join plans once per run (O(body size) per rule).
-  plans_ = JoinPlanSet::Compile(rules_);
-  stats_.plannable_rules = plans_.plannable_rules();
   stats_.discovery_threads = std::max<uint32_t>(1, options_.discovery_threads);
   if (options_.executor != nullptr) {
     stats_.discovery_threads =
@@ -285,14 +282,15 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
     ChaseOutcome* stop_outcome) {
   // One unit per (rule, pivot) pair: the pivot conjunct is constrained to
   // the delta, so the units partition the round's homomorphisms. Each unit
-  // writes its rows, in the backtracking search's enumeration order, into
-  // its own segment; workers share the instance read-only, so the phase
-  // is data-race-free by construction.
+  // runs the backtracking search and writes its rows, in enumeration
+  // order, into its own segment; workers share the instance read-only, so
+  // the phase is data-race-free by construction.
   struct DiscoveryUnit {
     uint32_t rule = 0;
-    uint32_t pivot = 0;
-    bool planned = false;  ///< Plan kernel (vs. the backtracking search).
     BindingSegment rows;
+    /// The unit's search: conjuncts before the pivot match old atoms, the
+    /// pivot delta atoms, later ones any atom; the out-flags point here.
+    HomSearchOptions search;
     uint64_t visits = 0;
     bool budget_exhausted = false;  ///< Join budget or row cap ran out.
     bool governor_tripped = false;
@@ -301,35 +299,29 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   for (uint32_t r = 0; r < rules_.size(); ++r) {
     unit_count += rules_.rule(r).body().size();
   }
-  // Sized up front (BindingSegment pins units in place — no regrowth).
+  // Sized up front and never moved: each unit's search points at the
+  // unit's own out-flags.
   std::vector<DiscoveryUnit> units(unit_count);
   {
     std::size_t u = 0;
     for (uint32_t r = 0; r < rules_.size(); ++r) {
-      const std::size_t body_size = rules_.rule(r).body().size();
+      const Tgd& rule = rules_.rule(r);
+      const std::size_t body_size = rule.body().size();
       for (std::size_t pivot = 0; pivot < body_size; ++pivot, ++u) {
-        units[u].rule = r;
-        units[u].pivot = static_cast<uint32_t>(pivot);
-        units[u].planned = plans_.plan(r).plannable;
-        units[u].rows.SetMemoryBudget(memory_budget_.get());
+        DiscoveryUnit& unit = units[u];
+        unit.rule = r;
+        unit.rows.SetWidth(rule.num_variables());
+        unit.rows.SetMemoryBudget(memory_budget_.get());
+        HomSearchOptions& search = unit.search;
+        search.ranges.assign(body_size, MatchRange::kAll);
+        std::fill_n(search.ranges.begin(), pivot, MatchRange::kOldOnly);
+        search.ranges[pivot] = MatchRange::kDeltaOnly;
+        search.watermark = watermark;
+        search.visits = &unit.visits;
+        search.budget_exhausted = &unit.budget_exhausted;
+        search.governor = &governor_;
+        search.governor_tripped = &unit.governor_tripped;
       }
-    }
-  }
-
-  // This round's depth-zero conjunct choice per plannable rule — the one
-  // instance-dependent decision of a (<= 2)-conjunct backtracking search.
-  // The instance is frozen for the whole phase, so resolving it once here
-  // pins every unit's enumeration order.
-  round_first_.assign(rules_.size(), kNoRule);
-  for (uint32_t r = 0; r < rules_.size(); ++r) {
-    const RuleJoinPlan& plan = plans_.plan(r);
-    if (!plan.plannable) continue;
-    const uint32_t first = ChooseFirstConjunct(instance_, plan);
-    round_first_[r] = first;
-    std::vector<uint32_t>& order = stats_.per_rule[r].plan_order;
-    order.clear();
-    for (const PlanStep& step : plan.orders[first]) {
-      order.push_back(step.conjunct);
     }
   }
 
@@ -342,8 +334,7 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   last_parallel_ = num_threads > 1 &&
                    (options_.parallel_cutover_work == 0 ||
                     last_estimated_work_ >= options_.parallel_cutover_work);
-  last_plan_units_ = 0;
-  last_fallback_units_ = 0;
+  last_units_ = 0;
   last_binding_rows_ = 0;
 
   const auto remaining = [](uint64_t cap, uint64_t used) {
@@ -354,7 +345,6 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   // outcomes from concurrent trips are interchangeable) and every worker
   // checks it before starting the next unit.
   std::atomic<int> abort_outcome{-1};
-  const PlanExecutor executor(instance_);
   const auto run_unit = [&](uint64_t u, uint64_t join_budget,
                             uint64_t found_cap) {
     if (abort_outcome.load(std::memory_order_relaxed) >= 0) return;
@@ -365,50 +355,23 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
                           std::memory_order_relaxed);
       return;
     }
-    PhaseScope unit_scope(unit.planned ? Phase::kChaseDiscoveryUnitPlan
-                                       : Phase::kChaseDiscoveryUnitFallback);
+    PhaseScope unit_scope(Phase::kChaseDiscoveryUnit);
+    unit.search.max_candidate_visits = join_budget;
     unit.visits = 0;
     unit.budget_exhausted = false;
     unit.governor_tripped = false;
-    if (unit.planned) {
-      BindingSegment scratch;
-      scratch.SetMemoryBudget(memory_budget_.get());
-      const PlanExecutor::UnitStatus status = executor.ExecuteUnit(
-          plans_.plan(unit.rule), unit.pivot, round_first_[unit.rule],
-          watermark, join_budget, found_cap, &governor_, &scratch,
-          &unit.rows);
-      unit.visits = status.charge;
-      unit.budget_exhausted = status.budget_exhausted;
-      unit.governor_tripped = status.governor_tripped;
-    } else {
-      const Tgd& rule = rules_.rule(unit.rule);
-      const std::size_t body_size = rule.body().size();
-      HomomorphismFinder finder(instance_);
-      HomSearchOptions search;
-      search.watermark = watermark;
-      search.ranges.assign(body_size, MatchRange::kAll);
-      for (std::size_t i = 0; i < unit.pivot; ++i) {
-        search.ranges[i] = MatchRange::kOldOnly;
-      }
-      search.ranges[unit.pivot] = MatchRange::kDeltaOnly;
-      search.max_candidate_visits = join_budget;
-      search.visits = &unit.visits;
-      search.budget_exhausted = &unit.budget_exhausted;
-      search.governor = &governor_;
-      search.governor_tripped = &unit.governor_tripped;
-      unit.rows.Clear();
-      unit.rows.SetWidth(rule.num_variables());
-      finder.FindAllWithOptions(
-          rule.body(), rule.num_variables(), search, Binding(),
-          [&unit, found_cap](const Binding& binding) {
-            unit.rows.AppendRow(binding.data());
-            if (unit.rows.rows() >= found_cap) {
-              unit.budget_exhausted = true;
-              return false;
-            }
-            return true;
-          });
-    }
+    unit.rows.Clear();
+    const Tgd& rule = rules_.rule(unit.rule);
+    HomomorphismFinder(instance_).FindAllWithOptions(
+        rule.body(), rule.num_variables(), unit.search, Binding(),
+        [&unit, found_cap](const Binding& binding) {
+          unit.rows.AppendRow(binding.data());
+          if (unit.rows.rows() >= found_cap) {
+            unit.budget_exhausted = true;
+            return false;
+          }
+          return true;
+        });
     if (unit.governor_tripped) {
       abort_outcome.store(static_cast<int>(OutcomeOf(governor_.Check())),
                           std::memory_order_relaxed);
@@ -428,12 +391,7 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   // that reaches it. Returns true when a cap stopped it.
   std::vector<PendingTrigger> pending;
   const auto merge = [&](const DiscoveryUnit& unit) {
-    if (unit.planned) {
-      ++last_plan_units_;
-      ++stats_.per_rule[unit.rule].plan_rotations;
-    } else {
-      ++last_fallback_units_;
-    }
+    ++last_units_;
     last_binding_rows_ += unit.rows.rows();
     const uint32_t width = unit.rows.width();
     for (uint64_t i = 0; i < unit.rows.rows(); ++i) {
@@ -505,8 +463,7 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   // capped round is terminal, so this costs at most one extra pass per
   // run.
   last_parallel_ = false;
-  last_plan_units_ = 0;
-  last_fallback_units_ = 0;
+  last_units_ = 0;
   last_binding_rows_ = 0;
   for (uint64_t u = 0; u < units.size(); ++u) {
     run_unit(u, remaining(options_.max_join_work, join_work_),
@@ -625,8 +582,7 @@ bool ChaseRun::ExecuteRound(AtomId* watermark, const AtomObserver& observer,
   round.discovery_seconds = discovery_seconds;
   round.estimated_work = last_estimated_work_;
   round.parallel_discovery = last_parallel_;
-  round.plan_units = last_plan_units_;
-  round.fallback_units = last_fallback_units_;
+  round.fallback_units = last_units_;
   round.binding_rows = last_binding_rows_;
   if (last_parallel_) ++stats_.parallel_rounds;
 
@@ -742,7 +698,7 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   uint64_t estimated_work = 0;
   uint64_t discovery_us = 0, apply_us = 0, round_us = 0;
   uint64_t batched_triggers = 0, batch_blocks = 0;
-  uint64_t plan_units = 0, fallback_units = 0, binding_rows = 0;
+  uint64_t units = 0, binding_rows = 0;
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   for (const RoundStats& round : stats.per_round) {
     estimated_work = round.estimated_work > kMax - estimated_work
@@ -753,8 +709,7 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
     round_us += static_cast<uint64_t>(round.total_seconds * 1e6);
     batched_triggers += round.batched_triggers;
     batch_blocks += round.batch_blocks;
-    plan_units += round.plan_units;
-    fallback_units += round.fallback_units;
+    units += round.fallback_units;
     binding_rows += round.binding_rows;
   }
   // The terminal pass has no per-round entry but its discovery time is
@@ -767,11 +722,8 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   sink.Counter("chase.round_us")->Add(round_us);
   sink.Counter("chase.batched_triggers")->Add(batched_triggers);
   sink.Counter("chase.batch_blocks")->Add(batch_blocks);
-  sink.Counter("chase.plan_units")->Add(plan_units);
-  sink.Counter("chase.plan_fallback_units")->Add(fallback_units);
-  sink.Counter("chase.plan_binding_rows")->Add(binding_rows);
-  sink.Gauge("chase.plannable_rules")
-      ->SetMax(static_cast<int64_t>(stats.plannable_rules));
+  sink.Counter("chase.discovery_units")->Add(units);
+  sink.Counter("chase.discovery_binding_rows")->Add(binding_rows);
   sink.Gauge("chase.discovery_threads")
       ->SetMax(static_cast<int64_t>(stats.discovery_threads));
   sink.Gauge("chase.peak_atoms")

@@ -14,8 +14,6 @@
 #include "base/status.h"
 #include "base/thread_pool.h"
 #include "chase/batch_apply.h"
-#include "chase/join_plan.h"
-#include "chase/plan_executor.h"
 #include "model/tgd.h"
 #include "storage/homomorphism.h"
 #include "storage/instance.h"
@@ -235,15 +233,6 @@ struct RuleStats {
   uint64_t discovered = 0;         ///< Candidates surviving key dedup.
   uint64_t applied = 0;            ///< Triggers actually fired.
   uint64_t skipped_satisfied = 0;  ///< Restricted-chase satisfied skips.
-  /// Discovery units this rule executed through the compiled plan (one
-  /// per (rule, pivot) unit whose rows were merged; 0 for non-plannable
-  /// rules).
-  uint64_t plan_rotations = 0;
-  /// The conjunct order the plan chose most recently (body indices in
-  /// match order; empty if the rule never executed a plan). The order is
-  /// re-chosen per round from the same selectivity estimates the
-  /// backtracking search uses at depth zero.
-  std::vector<uint32_t> plan_order;
 };
 
 /// Per-round counters and phase timings. A round is one discovery pass
@@ -271,10 +260,12 @@ struct RoundStats {
   /// Provenance and observer runs insert head atoms directly and flush no
   /// blocks.
   uint64_t batch_blocks = 0;
-  /// Discovery units whose rows came from the compiled-plan kernel.
+  /// Discovery units whose rows came from a compiled join plan: always 0,
+  /// since every unit runs the backtracking search. Kept in the
+  /// per-round schema for the readers of its stats.
   uint64_t plan_units = 0;
-  /// Discovery units whose rows came from the backtracking search: the
-  /// units of rules whose body is too wide to plan.
+  /// Discovery units whose rows came from the backtracking search and
+  /// were merged: every merged unit, since every unit runs the search.
   uint64_t fallback_units = 0;
   /// Binding rows the merged units materialized (pre-dedup
   /// homomorphisms).
@@ -293,10 +284,6 @@ struct ChaseStats {
   uint64_t peak_dedup_keys = 0;              ///< Applied trigger keys.
   uint32_t discovery_threads = 1;            ///< Effective worker count.
   uint64_t parallel_rounds = 0;              ///< Rounds using the pool.
-  /// Rules whose body compiled to a usable join plan (bodies of at most
-  /// two conjuncts; see JoinPlanSet). Their discovery units run the plan
-  /// kernel; every other rule's units run the backtracking search.
-  uint32_t plannable_rules = 0;
   /// Wall time of terminal discovery passes that produced no per-round
   /// entry — the empty pass that proves termination, or an aborted one.
   /// Kept separate from per_round so round timings still sum to round
@@ -476,13 +463,12 @@ class ChaseRun {
   /// One round of semi-naive trigger discovery: every homomorphism whose
   /// image touches an atom with id >= `watermark`, deduplicated through
   /// applied_keys_, in deterministic (rule, pivot, discovery) order.
-  /// Each (rule, pivot) unit writes its rows into a BindingSegment — via
-  /// the compiled plan for bodies of at most two conjuncts, via the
-  /// backtracking search otherwise — inline or on the pool per
-  /// discovery_threads; the rows then merge in unit order. Sets *capped
-  /// when a discovery cap was hit (results may then be incomplete); sets
-  /// *stopped and *stop_outcome when the governor or fault injector
-  /// tripped mid-phase (the returned triggers are then partial and must
+  /// Each (rule, pivot) unit runs the backtracking search into a
+  /// BindingSegment, inline or on the pool per discovery_threads; the
+  /// rows then merge in unit order. Sets *capped when a discovery cap was
+  /// hit (results may then be incomplete); sets *stopped and
+  /// *stop_outcome when the governor or fault injector tripped
+  /// mid-phase (the returned triggers are then partial and must
   /// not be applied).
   std::vector<PendingTrigger> DiscoverTriggers(AtomId watermark, bool* capped,
                                                bool* stopped,
@@ -526,18 +512,11 @@ class ChaseRun {
   /// every parallel round reuses the same parked workers.
   std::shared_ptr<ThreadPool> owned_pool_;
 
-  /// Compiled once at construction from rules_.
-  JoinPlanSet plans_;
-  /// Per-rule first-conjunct choice for the current round (kNoRule for
-  /// rules without a plan); recomputed by DiscoverTriggers each round.
-  std::vector<uint32_t> round_first_;
-
   /// Scratch written by DiscoverTriggers, folded into the round's stats
   /// entry by Execute (the entry does not exist yet at discovery time).
   uint64_t last_estimated_work_ = 0;
   bool last_parallel_ = false;
-  uint64_t last_plan_units_ = 0;
-  uint64_t last_fallback_units_ = 0;
+  uint64_t last_units_ = 0;
   uint64_t last_binding_rows_ = 0;
 
   ChaseStats stats_;

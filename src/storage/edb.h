@@ -243,35 +243,6 @@ class InMemoryEdb final : public EdbDatabase {
     uint64_t rows_ = 0;
   };
 
-  /// Mirror of Instance::BudgetAttachment: RAII release of the charge,
-  /// unbudgeted copies, charge transfer on move.
-  class BudgetAttachment {
-   public:
-    BudgetAttachment() = default;
-    ~BudgetAttachment() { Reset(nullptr); }
-    BudgetAttachment(const BudgetAttachment&) {}
-    BudgetAttachment& operator=(const BudgetAttachment&) {
-      Reset(nullptr);
-      return *this;
-    }
-
-    void Reset(MemoryBudget* budget) {
-      if (budget_ != nullptr && charged_ != 0) budget_->Release(charged_);
-      budget_ = budget;
-      charged_ = 0;
-    }
-    void Charge(uint64_t bytes) {
-      if (budget_ == nullptr || bytes == 0) return;
-      budget_->Charge(bytes);
-      charged_ += bytes;
-    }
-    MemoryBudget* get() const { return budget_; }
-
-   private:
-    MemoryBudget* budget_ = nullptr;
-    uint64_t charged_ = 0;
-  };
-
   Dictionary dictionary_;
   std::vector<Table> tables_;
   /// predicate name -> index into tables_ (tables are few; rows are not).

@@ -11,13 +11,13 @@ namespace {
 class Search {
  public:
   Search(const Instance& instance, const std::vector<Atom>& conjunction,
-         const HomSearchOptions& options,
+         uint32_t num_variables, const HomSearchOptions& options,
          const std::function<bool(const Binding&)>& callback)
       : instance_(instance),
         conjunction_(conjunction),
         options_(options),
         callback_(callback),
-        matched_(conjunction.size(), false) {}
+        state_(conjunction.size() + num_variables, 0) {}
 
   void Run(Binding* binding) {
     binding_ = binding;
@@ -27,21 +27,12 @@ class Search {
   }
 
  private:
+  /// Governor checkpoint cadence, in candidate visits.
+  static constexpr uint64_t kPollInterval = 1024;
+
   MatchRange RangeOf(std::size_t conjunct) const {
     if (options_.ranges.empty()) return MatchRange::kAll;
     return options_.ranges[conjunct];
-  }
-
-  bool InRange(AtomId id, MatchRange range) const {
-    switch (range) {
-      case MatchRange::kAll:
-        return true;
-      case MatchRange::kOldOnly:
-        return id < options_.watermark;
-      case MatchRange::kDeltaOnly:
-        return id >= options_.watermark;
-    }
-    return true;
   }
 
   /// Estimated candidate count for a conjunct under the current binding,
@@ -77,6 +68,64 @@ class Search {
     return plan;
   }
 
+  /// Charges `n` candidate visits. Returns false, with the search stopped,
+  /// when that runs past the visit budget (visits then read budget + 1,
+  /// wherever in the charged run the budget ended) or when a governor
+  /// checkpoint falls due and finds the run tripped.
+  bool Charge(uint64_t n) {
+    if (n == 0) return true;
+    if (n > options_.max_candidate_visits - visited_) {
+      visited_ = options_.max_candidate_visits + 1;
+      if (options_.budget_exhausted != nullptr) {
+        *options_.budget_exhausted = true;
+      }
+      stop_ = true;
+      return false;
+    }
+    visited_ += n;
+    if (options_.governor != nullptr && visited_ >= next_poll_) {
+      next_poll_ = visited_ + kPollInterval;
+      if (options_.governor->Check() != GovernorState::kOk) {
+        if (options_.governor_tripped != nullptr) {
+          *options_.governor_tripped = true;
+        }
+        stop_ = true;
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Unifies `pattern` with `fact`, binding free variables and pushing
+  /// them on the trail (also on failure: the caller always undoes).
+  bool Unify(const Atom& pattern, const AtomView& fact) {
+    for (uint32_t pos = 0; pos < pattern.arity(); ++pos) {
+      const Term t = pattern.args[pos];
+      const Term image = fact.args[pos];
+      if (t.IsVariable()) {
+        Term& slot = (*binding_)[t.index()];
+        if (IsBound(slot)) {
+          if (slot != image) return false;
+        } else {
+          slot = image;
+          state_[trail_begin() + trail_size_++] = t.index();
+        }
+      } else if (t != image) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Unbinds every variable bound since the trail stood at `mark`.
+  void Undo(std::size_t mark) {
+    while (trail_size_ > mark) {
+      (*binding_)[state_[trail_begin() + --trail_size_]] = UnboundTerm();
+    }
+  }
+
+  std::size_t trail_begin() const { return conjunction_.size(); }
+
   void Recurse(std::size_t depth) {
     if (stop_) return;
     if (depth == conjunction_.size()) {
@@ -87,7 +136,7 @@ class Search {
     std::size_t best = conjunction_.size();
     Plan best_plan;
     for (std::size_t i = 0; i < conjunction_.size(); ++i) {
-      if (matched_[i]) continue;
+      if (state_[i] != 0) continue;
       Plan plan = PlanFor(conjunction_[i]);
       if (best == conjunction_.size() || plan.estimate < best_plan.estimate) {
         best = i;
@@ -96,71 +145,43 @@ class Search {
     }
     GCHASE_CHECK(best < conjunction_.size());
     const Atom& pattern = conjunction_[best];
-    const MatchRange range = RangeOf(best);
     const std::vector<AtomId>& candidates =
         best_plan.use_position
             ? instance_.AtomsWithTermAt(pattern.predicate, best_plan.position,
                                         best_plan.term)
             : instance_.AtomsWithPredicate(pattern.predicate);
+    // Ids are append-ordered, so the candidates in range are one span.
+    // Only the span is scanned, but the whole list is charged, the parts
+    // outside the range as one visit each, so join work and budget trip
+    // points do not depend on the range.
+    const PostingView span =
+        ClipPostings(candidates, RangeOf(best), options_.watermark);
 
-    matched_[best] = true;
-    // The trail must be per-candidate and per-depth: deeper recursion
-    // levels maintain their own trails.
-    std::vector<uint32_t> trail;
-    for (AtomId id : candidates) {
-      if (stop_) break;
-      if (++visited_ > options_.max_candidate_visits) {
-        if (options_.budget_exhausted != nullptr) {
-          *options_.budget_exhausted = true;
-        }
-        stop_ = true;
-        break;
+    state_[best] = 1;
+    const std::size_t mark = trail_size_;
+    if (Charge(span.begin - candidates.data())) {
+      for (const AtomId* it = span.begin; it != span.end && !stop_; ++it) {
+        if (!Charge(1)) break;
+        if (Unify(pattern, instance_.atom(*it))) Recurse(depth + 1);
+        Undo(mark);
       }
-      if (options_.governor != nullptr && (visited_ & 1023u) == 0 &&
-          options_.governor->Check() != GovernorState::kOk) {
-        if (options_.governor_tripped != nullptr) {
-          *options_.governor_tripped = true;
-        }
-        stop_ = true;
-        break;
-      }
-      if (!InRange(id, range)) continue;
-      const AtomView fact = instance_.atom(id);
-      // Unify pattern against fact, recording newly bound variables.
-      trail.clear();
-      bool ok = true;
-      for (uint32_t pos = 0; pos < pattern.arity(); ++pos) {
-        Term t = pattern.args[pos];
-        Term image = fact.args[pos];
-        if (t.IsVariable()) {
-          Term& slot = (*binding_)[t.index()];
-          if (IsBound(slot)) {
-            if (slot != image) {
-              ok = false;
-              break;
-            }
-          } else {
-            slot = image;
-            trail.push_back(t.index());
-          }
-        } else if (t != image) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) Recurse(depth + 1);
-      for (uint32_t v : trail) (*binding_)[v] = UnboundTerm();
+      if (!stop_) Charge(candidates.data() + candidates.size() - span.end);
     }
-    matched_[best] = false;
+    state_[best] = 0;
   }
 
   const Instance& instance_;
   const std::vector<Atom>& conjunction_;
   const HomSearchOptions& options_;
   const std::function<bool(const Binding&)>& callback_;
-  std::vector<bool> matched_;
+  /// The search's one scratch allocation: a matched flag per conjunct,
+  /// then the unification trail shared by all depths (a variable is
+  /// bound at most once along a branch, so num_variables slots suffice).
+  std::vector<uint32_t> state_;
+  std::size_t trail_size_ = 0;
   Binding* binding_ = nullptr;
   uint64_t visited_ = 0;
+  uint64_t next_poll_ = kPollInterval;
   bool stop_ = false;
 };
 
@@ -180,7 +201,7 @@ void HomomorphismFinder::FindAllWithOptions(
     callback(binding);
     return;
   }
-  Search search(instance_, conjunction, options, callback);
+  Search search(instance_, conjunction, num_variables, options, callback);
   search.Run(&binding);
 }
 

@@ -38,14 +38,16 @@ struct HomSearchOptions {
   AtomId watermark = 0;
   /// Cap on candidate atoms visited by the backtracking search (bounds
   /// join *work*, not just results; high-fanout unguarded joins can do
-  /// enormous work while yielding few homomorphisms).
+  /// enormous work while yielding few homomorphisms). A node's candidates
+  /// outside its conjunct's range are skipped unscanned but still count
+  /// as visits, so the charge does not depend on the ranges.
   uint64_t max_candidate_visits = std::numeric_limits<uint64_t>::max();
   /// Set to true when the search stopped because the visit cap was hit
   /// (results are then incomplete). Optional.
   bool* budget_exhausted = nullptr;
   /// Incremented by the number of candidate visits performed. Optional.
   uint64_t* visits = nullptr;
-  /// Run governor checked every 1024 candidate visits when set — the
+  /// Run governor checked about every 1024 candidate visits when set — the
   /// cooperative checkpoint that keeps a single pathological join from
   /// outliving its deadline. A tripped governor stops the search like an
   /// exhausted budget, but reports through *governor_tripped instead

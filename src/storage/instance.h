@@ -21,7 +21,7 @@ using AtomId = uint32_t;
 
 /// Which atoms of the instance a conjunct may match; used for semi-naive
 /// trigger discovery (every new homomorphism must touch the delta). Lives
-/// with the storage layer because the posting-list probe API clips to a
+/// with the storage layer because ClipPostings clips posting lists to a
 /// range directly — append-ordered ids make both bounds a binary search.
 enum class MatchRange {
   kAll,       ///< Any atom.
@@ -29,32 +29,20 @@ enum class MatchRange {
   kDeltaOnly, ///< Atoms with id >= watermark.
 };
 
-/// A borrowed, range-clipped view of one posting list. `full_size` is the
-/// unclipped list length — the join-work charge of scanning the list in
-/// the backtracking engine, which visits every candidate and filters by
-/// range per candidate. Keeping the two separate lets the set-at-a-time
-/// plan executor skip out-of-range candidates without touching them while
-/// still accounting visits in the legacy engine's units.
+/// A borrowed, range-clipped view of one posting list.
 struct PostingView {
   const AtomId* begin = nullptr;
   const AtomId* end = nullptr;
-  uint32_t full_size = 0;
 
   uint32_t size() const { return static_cast<uint32_t>(end - begin); }
 };
 
 /// Clip an append-ordered posting list to `range` relative to `watermark`.
 /// Because ids are sorted, one binary search finds the boundary; kAll needs
-/// no search at all. full_size stays the unclipped length — the legacy
-/// engine's visit count for scanning this list. Exposed inline so hot
-/// executor loops can probe raw lists (hash lookup only) and clip just the
-/// list they actually scan.
+/// no search at all.
 inline PostingView ClipPostings(const std::vector<AtomId>& ids,
                                 MatchRange range, AtomId watermark) {
-  PostingView view;
-  view.begin = ids.data();
-  view.end = ids.data() + ids.size();
-  view.full_size = static_cast<uint32_t>(ids.size());
+  PostingView view{ids.data(), ids.data() + ids.size()};
   if (range == MatchRange::kAll) return view;
   const AtomId* split = std::lower_bound(view.begin, view.end, watermark);
   if (range == MatchRange::kOldOnly) {
@@ -192,16 +180,6 @@ class Instance {
                                              uint32_t position,
                                              Term term) const;
 
-  /// Range-clipped view of AtomsWithPredicate(pred): the ids in `range`
-  /// relative to `watermark`, found by binary search on the append-ordered
-  /// list, plus the unclipped length for visit accounting.
-  PostingView PredicatePostings(PredicateId pred, MatchRange range,
-                                AtomId watermark) const;
-
-  /// Range-clipped view of AtomsWithTermAt(pred, position, term).
-  PostingView PositionPostings(PredicateId pred, uint32_t position, Term term,
-                               MatchRange range, AtomId watermark) const;
-
   /// Number of distinct labeled nulls occurring in the instance.
   uint32_t CountNulls() const;
 
@@ -303,48 +281,6 @@ class Instance {
     footprint_bytes_ += delta;
     budget_.Charge(delta);
   }
-
-  /// RAII handle on the budget charge: releases on destruction, drops on
-  /// copy (copies are unbudgeted), transfers on move — which is what
-  /// keeps Instance's implicit copy/move correct without hand-written
-  /// member lists.
-  class BudgetAttachment {
-   public:
-    BudgetAttachment() = default;
-    ~BudgetAttachment() { Reset(nullptr); }
-    BudgetAttachment(const BudgetAttachment&) {}
-    BudgetAttachment& operator=(const BudgetAttachment&) {
-      Reset(nullptr);
-      return *this;
-    }
-    BudgetAttachment(BudgetAttachment&& other) noexcept
-        : budget_(std::exchange(other.budget_, nullptr)),
-          charged_(std::exchange(other.charged_, 0)) {}
-    BudgetAttachment& operator=(BudgetAttachment&& other) noexcept {
-      if (this != &other) {
-        Reset(nullptr);
-        budget_ = std::exchange(other.budget_, nullptr);
-        charged_ = std::exchange(other.charged_, 0);
-      }
-      return *this;
-    }
-
-    void Reset(MemoryBudget* budget) {
-      if (budget_ != nullptr && charged_ != 0) budget_->Release(charged_);
-      budget_ = budget;
-      charged_ = 0;
-    }
-    void Charge(uint64_t bytes) {
-      if (budget_ == nullptr || bytes == 0) return;
-      budget_->Charge(bytes);
-      charged_ += bytes;
-    }
-    MemoryBudget* get() const { return budget_; }
-
-   private:
-    MemoryBudget* budget_ = nullptr;
-    uint64_t charged_ = 0;
-  };
 
   TermArena arena_;
   std::vector<AtomRecord> records_;

@@ -1,119 +1,25 @@
-// Tests for the compiled discovery join plans (chase/join_plan.{h,cc} +
-// chase/plan_executor.{h,cc}): plan compilation and plannability rules,
-// the depth-zero order choice, BindingSegment budget mechanics, and —
-// the core contract — bit-identity of the unit engine (plan units and
-// search units together) with the reference chase across the variant x
-// order grid and discovery-cap sweeps, plus thread-count invariance
-// under join-work caps and fault-injection abort points.
-
-#include "chase/join_plan.h"
+// Tests for the discovery unit engine (ChaseRun::DiscoverTriggers): every
+// (rule, pivot) unit runs the range-clipped backtracking search into a
+// BindingSegment. Covers BindingSegment budget mechanics and — the core
+// contract — bit-identity of the engine with the reference chase across
+// the variant x order grid and discovery-cap sweeps, plus thread-count
+// invariance under join-work caps and fault-injection abort points.
 
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/memory_budget.h"
+#include "chase/batch_apply.h"
 #include "chase/chase.h"
-#include "chase/plan_executor.h"
 #include "gtest/gtest.h"
+#include "storage/homomorphism.h"
 #include "storage/instance.h"
 #include "tests/reference_twin.h"
 #include "tests/test_util.h"
 
 namespace gchase {
 namespace {
-
-// -------------------------------------------------------------------------
-// Plan compilation.
-
-TEST(JoinPlanTest, CompilesOneAndTwoConjunctBodies) {
-  ParsedProgram program = MustParse(
-      "p(X) -> q(X).\n"
-      "e(X,Y), e(Y,Z) -> e(X,Z).\n"
-      "a(X,Y), b(Y,Z), c(Z,W) -> d(X,W).\n");
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  ASSERT_EQ(plans.size(), 3u);
-  EXPECT_EQ(plans.plannable_rules(), 2u);
-
-  const RuleJoinPlan& unary = plans.plan(0);
-  ASSERT_TRUE(unary.plannable);
-  EXPECT_EQ(unary.body_size, 1u);
-  ASSERT_EQ(unary.orders.size(), 1u);
-  ASSERT_EQ(unary.orders[0].size(), 1u);
-  EXPECT_EQ(unary.orders[0][0].conjunct, 0u);
-
-  const RuleJoinPlan& closure = plans.plan(1);
-  ASSERT_TRUE(closure.plannable);
-  EXPECT_EQ(closure.body_size, 2u);
-  ASSERT_EQ(closure.orders.size(), 2u);
-  // Order starting at conjunct 0: step 1 matches conjunct 1 with its
-  // first position (the shared variable Y) as the one probe site.
-  const std::vector<PlanStep>& order0 = closure.orders[0];
-  ASSERT_EQ(order0.size(), 2u);
-  EXPECT_EQ(order0[0].conjunct, 0u);
-  EXPECT_EQ(order0[1].conjunct, 1u);
-  ASSERT_EQ(order0[1].probes.size(), 1u);
-  EXPECT_EQ(order0[1].probes[0].position, 0u);
-  EXPECT_FALSE(order0[1].probes[0].is_constant);
-  // In that step, position 0 checks the bound Y and position 1 binds Z.
-  ASSERT_EQ(order0[1].ops.size(), 2u);
-  EXPECT_EQ(order0[1].ops[0].kind, PlanOp::Kind::kCheckVar);
-  EXPECT_EQ(order0[1].ops[1].kind, PlanOp::Kind::kBindVar);
-
-  const RuleJoinPlan& wide = plans.plan(2);
-  EXPECT_FALSE(wide.plannable);
-  EXPECT_STREQ(wide.fallback_reason, "body-too-wide");
-}
-
-TEST(JoinPlanTest, ConstantsBecomeChecksAndProbeSites) {
-  ParsedProgram program = MustParse("p(c,X) -> q(X).\n");
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  const RuleJoinPlan& plan = plans.plan(0);
-  ASSERT_TRUE(plan.plannable);
-  const PlanStep& step = plan.orders[0][0];
-  ASSERT_EQ(step.ops.size(), 2u);
-  EXPECT_EQ(step.ops[0].kind, PlanOp::Kind::kCheckConst);
-  EXPECT_EQ(step.ops[1].kind, PlanOp::Kind::kBindVar);
-  // The constant is a seed probe site (usable under the empty binding).
-  ASSERT_EQ(plan.seeds.size(), 1u);
-  ASSERT_EQ(plan.seeds[0].const_probes.size(), 1u);
-  EXPECT_EQ(plan.seeds[0].const_probes[0].position, 0u);
-}
-
-TEST(JoinPlanTest, RepeatedVariableChecksWithoutProbing) {
-  // The second occurrence of X within one conjunct checks but is not a
-  // probe site (unbound at planning time), matching the backtracking
-  // engine's per-node planner.
-  ParsedProgram program = MustParse("e(X,X) -> q(X).\n");
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  const PlanStep& step = plans.plan(0).orders[0][0];
-  ASSERT_EQ(step.ops.size(), 2u);
-  EXPECT_EQ(step.ops[0].kind, PlanOp::Kind::kBindVar);
-  EXPECT_EQ(step.ops[1].kind, PlanOp::Kind::kCheckVar);
-  EXPECT_TRUE(step.probes.empty());
-}
-
-TEST(JoinPlanTest, ChooseFirstConjunctPrefersSmallerRelation) {
-  ParsedProgram program = MustParse(
-      "big(X,Y), small(Y,Z) -> out(X,Z).\n"
-      "big(a,b). big(b,c). big(c,d). small(d,e).\n");
-  Instance instance;
-  for (const Atom& atom : program.facts) instance.Insert(atom);
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  EXPECT_EQ(ChooseFirstConjunct(instance, plans.plan(0)), 1u);
-}
-
-TEST(JoinPlanTest, ChooseFirstConjunctTiesToLowerIndex) {
-  ParsedProgram program = MustParse(
-      "p(X,Y), q(Y,Z) -> out(X,Z).\n"
-      "p(a,b). q(b,c).\n");
-  Instance instance;
-  for (const Atom& atom : program.facts) instance.Insert(atom);
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  // Both relations have one atom: the tie goes to conjunct 0, exactly as
-  // the backtracking engine's strict-< argmin keeps the first plan.
-  EXPECT_EQ(ChooseFirstConjunct(instance, plans.plan(0)), 0u);
-}
 
 // -------------------------------------------------------------------------
 // BindingSegment budget mechanics (the HeadBlock ratchet contract).
@@ -150,9 +56,9 @@ TEST(BindingSegmentTest, RowsRoundTrip) {
 }
 
 // -------------------------------------------------------------------------
-// Bit-identity: the engine (plan units and search units together) vs the
-// reference chase across variants, orders and caps; join-work caps, which
-// the reference does not meter, vs the engine at other thread counts.
+// Bit-identity: the engine vs the reference chase across variants,
+// orders and caps; join-work caps, which the reference does not meter, vs
+// the engine at other thread counts.
 
 /// Runs `options` at 1 thread and at `threads` threads with the parallel
 /// cutover off, so even tiny rounds take the pool.
@@ -166,10 +72,10 @@ std::pair<ChaseResult, ChaseResult> RunThreadTwins(const ParsedProgram& program,
   return {std::move(one), std::move(many)};
 }
 
-/// A workload exercising every plan shape at once: a two-conjunct join
-/// (closure), a unary plannable rule with an existential multi-atom head,
-/// a constant in a body position, a repeated variable, and a
-/// three-conjunct non-plannable rule sharing predicates with the rest.
+/// A workload exercising every body shape at once: a two-conjunct join
+/// (closure), a unary rule with an existential multi-atom head, a
+/// constant in a body position, a repeated variable, and a
+/// three-conjunct rule sharing predicates with the rest.
 ParsedProgram MixedWorkload() {
   std::string text =
       "e(X,Y), e(Y,Z) -> e(X,Z).\n"
@@ -399,7 +305,7 @@ TEST(JoinPlanTest, FaultAtTriggerApplyAbortsIdentically) {
 }
 
 // -------------------------------------------------------------------------
-// Plan stats surface.
+// Unit stats surface.
 
 TEST(JoinPlanTest, StatsReportPlanActivity) {
   ParsedProgram program = MixedWorkload();
@@ -407,41 +313,30 @@ TEST(JoinPlanTest, StatsReportPlanActivity) {
   options.max_atoms = 4000;
   options.max_steps = 4000;
 
-  const ChaseResult planned = RunChase(program.rules, options, program.facts);
-  EXPECT_EQ(planned.stats.plannable_rules, 5u);
-  uint64_t plan_units = 0, fallback_units = 0, binding_rows = 0;
-  const std::vector<RoundStats>& rounds = planned.stats.per_round;
+  const ChaseResult run = RunChase(program.rules, options, program.facts);
+  uint64_t units = 0, binding_rows = 0;
+  const std::vector<RoundStats>& rounds = run.stats.per_round;
   ASSERT_GT(rounds.size(), 1u);
   for (std::size_t i = 0; i < rounds.size(); ++i) {
-    plan_units += rounds[i].plan_units;
-    fallback_units += rounds[i].fallback_units;
+    units += rounds[i].fallback_units;
     binding_rows += rounds[i].binding_rows;
-    // Every (rule, pivot) unit of a round is either a plan unit or a
-    // search unit: 5 plannable rules with 2 + 1 + 2 + 1 + 1 conjuncts, and
-    // the three-conjunct rule. The step cap binds in the last round, whose
-    // capped rerun stops at the unit where the cap bound.
+    // Every (rule, pivot) unit runs the search and counts as a fallback
+    // unit: 2 + 1 + 2 + 1 + 1 + 3 of them. The step cap binds in the last
+    // round, whose capped rerun stops at the unit where the cap bound.
+    EXPECT_EQ(rounds[i].plan_units, 0u) << "round " << i;
     if (i + 1 < rounds.size()) {
-      EXPECT_EQ(rounds[i].plan_units, 7u) << "round " << i;
-      EXPECT_EQ(rounds[i].fallback_units, 3u) << "round " << i;
+      EXPECT_EQ(rounds[i].fallback_units, 10u) << "round " << i;
     } else {
-      EXPECT_LE(rounds[i].plan_units + rounds[i].fallback_units, 10u);
+      EXPECT_LE(rounds[i].fallback_units, 10u);
     }
   }
-  EXPECT_GT(plan_units, 0u);
-  // The three-conjunct rule keeps the backtracking search busy every round.
-  EXPECT_GT(fallback_units, 0u);
+  EXPECT_GT(units, 0u);
   EXPECT_GT(binding_rows, 0u);
-  // The closure rule executed plans and recorded its chosen order.
-  EXPECT_GT(planned.stats.per_rule[0].plan_rotations, 0u);
-  EXPECT_EQ(planned.stats.per_rule[0].plan_order.size(), 2u);
-  // The non-plannable rule never rotated.
-  EXPECT_EQ(planned.stats.per_rule[5].plan_rotations, 0u);
-  EXPECT_TRUE(planned.stats.per_rule[5].plan_order.empty());
 }
 
 // -------------------------------------------------------------------------
-// Direct executor check: enumeration order is the id-lexicographic order
-// the backtracking search produces, including semi-naive range clipping.
+// One unit's search: enumeration order is id-lexicographic in the search's
+// conjunct order, under the semi-naive ranges a (rule, pivot) unit uses.
 
 TEST(PlanExecutorTest, EnumeratesInIdLexOrderWithDeltaPivot) {
   ParsedProgram program = MustParse(
@@ -449,36 +344,41 @@ TEST(PlanExecutorTest, EnumeratesInIdLexOrderWithDeltaPivot) {
       "e(a,b). e(b,c). e(c,d).\n");
   Instance instance;
   for (const Atom& atom : program.facts) instance.Insert(atom);
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  const RuleJoinPlan& plan = plans.plan(0);
-  PlanExecutor executor(instance);
-  BindingSegment scratch, out;
+  const Tgd& rule = program.rules.rule(0);
+  HomomorphismFinder finder(instance);
+  const auto run_unit = [&](std::vector<MatchRange> ranges, AtomId watermark,
+                            uint64_t* visits) {
+    HomSearchOptions search;
+    search.ranges = std::move(ranges);
+    search.watermark = watermark;
+    search.visits = visits;
+    std::vector<Binding> out;
+    finder.FindAllWithOptions(rule.body(), rule.num_variables(), search,
+                              Binding(), [&out](const Binding& binding) {
+                                out.push_back(binding);
+                                return true;
+                              });
+    return out;
+  };
 
   // Watermark 0: everything is delta. Pivot 0 with the kDeltaOnly/kAll
   // split enumerates both chain joins (a,b,c) and (b,c,d) in id order.
-  const uint64_t kUnlimited = std::numeric_limits<uint64_t>::max();
-  PlanExecutor::UnitStatus status =
-      executor.ExecuteUnit(plan, /*pivot=*/0,
-                           ChooseFirstConjunct(instance, plan),
-                           /*watermark=*/0, kUnlimited, kUnlimited,
-                           /*governor=*/nullptr, &scratch, &out);
-  EXPECT_FALSE(status.budget_exhausted);
-  ASSERT_EQ(status.rows, 2u);
-  ASSERT_EQ(out.rows(), 2u);
-  // Row 0 is the (a,b,c) join: X=a, Y=b, Z=c in slot order.
-  EXPECT_EQ(out.row(0)[plan.orders[0][0].ops[0].slot],
-            instance.atom(0).args[0]);
+  uint64_t visits = 0;
+  std::vector<Binding> rows =
+      run_unit({MatchRange::kDeltaOnly, MatchRange::kAll}, 0, &visits);
+  ASSERT_EQ(rows.size(), 2u);
+  const uint32_t x = rule.body()[0].args[0].index();
+  EXPECT_EQ(rows[0][x], instance.atom(0).args[0]);
+  EXPECT_EQ(rows[1][x], instance.atom(1).args[0]);
 
-  // Pivot 1 with watermark past the whole instance: empty delta, no rows,
-  // and the charge reflects the visits a backtracking search would spend
-  // discovering that (it scans the unclipped chosen list).
-  BindingSegment out2;
-  status = executor.ExecuteUnit(plan, /*pivot=*/1,
-                                ChooseFirstConjunct(instance, plan),
-                                /*watermark=*/instance.size(), kUnlimited,
-                                kUnlimited, nullptr, &scratch, &out2);
-  EXPECT_EQ(out2.rows(), 0u);
-  EXPECT_GT(status.charge, 0u);
+  // Pivot 1 with the watermark past the whole instance: empty delta, no
+  // rows, and the visits are the unclipped lists the search walked — all
+  // 3 e-atoms at depth zero, then e(Y,·) for Y = b, c, d (1 + 1 + 0).
+  visits = 0;
+  rows = run_unit({MatchRange::kOldOnly, MatchRange::kDeltaOnly},
+                  instance.size(), &visits);
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(visits, 5u);
 }
 
 }  // namespace

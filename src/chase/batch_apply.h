@@ -8,10 +8,9 @@
 #include "base/check.h"
 #include "base/memory_budget.h"
 #include "model/atom.h"
+#include "storage/instance.h"
 
 namespace gchase {
-
-class Instance;
 
 /// Columnar staging block for set-at-a-time rule application.
 ///
@@ -35,6 +34,14 @@ class HeadBlock {
   HeadBlock(const HeadBlock&) = delete;
   HeadBlock& operator=(const HeadBlock&) = delete;
 
+  /// Where a staged row came from, for provenance runs: the applied
+  /// trigger (an index into ChaseRun::triggers()) and which of its rule's
+  /// head atoms the row instantiates.
+  struct Origin {
+    uint32_t trigger = 0;
+    uint32_t head_index = 0;
+  };
+
   /// Reserves a row of `arity` terms for one head atom of `pred` and
   /// returns the slot to write its ground arguments into. The pointer is
   /// invalidated by the next Append — write immediately.
@@ -52,18 +59,33 @@ class HeadBlock {
     return terms_.data() + offset;
   }
 
+  /// Append that also records the row's origin in the provenance column;
+  /// a block staged this way gets one atom id per row from FlushInto (see
+  /// ids()). Between two Clear()s, stage every row this way or none.
+  Term* Append(PredicateId pred, uint32_t arity, Origin origin) {
+    origins_.push_back(origin);
+    return Append(pred, arity);
+  }
+
   /// Dedups and appends every staged row into `instance`, in staging
-  /// order (one TryAddBatch per segment). Returns the number of segments
+  /// order (one TryAddBatch per segment). When the provenance column is
+  /// in use, ids() then holds each row's atom id: the new id, or the id
+  /// of the atom a duplicate row repeats. Returns the number of segments
   /// flushed. Does not Clear() — the caller decides when to reuse.
-  uint32_t FlushInto(Instance* instance) const;
+  uint32_t FlushInto(Instance* instance);
 
   uint32_t atoms() const { return atoms_; }
   uint32_t segments() const { return static_cast<uint32_t>(segments_.size()); }
   bool empty() const { return atoms_ == 0; }
+  /// The provenance column, one origin per staged row.
+  const std::vector<Origin>& origins() const { return origins_; }
+  /// One atom id per staged row, valid after FlushInto.
+  const std::vector<AtomId>& ids() const { return ids_; }
 
   void Clear() {
     segments_.clear();
     terms_.clear();
+    origins_.clear();
     atoms_ = 0;
   }
 
@@ -71,7 +93,9 @@ class HeadBlock {
   /// Clear() keeps capacity, so this is a high-water figure by design.
   uint64_t capacity_bytes() const {
     return segments_.capacity() * sizeof(Segment) +
-           terms_.capacity() * sizeof(Term);
+           terms_.capacity() * sizeof(Term) +
+           origins_.capacity() * sizeof(Origin) +
+           ids_.capacity() * sizeof(AtomId);
   }
 
   /// Attaches (or detaches, with nullptr) a budget to charge the staging
@@ -96,6 +120,8 @@ class HeadBlock {
 
   std::vector<Segment> segments_;
   std::vector<Term> terms_;
+  std::vector<Origin> origins_;
+  std::vector<AtomId> ids_;
   uint32_t atoms_ = 0;
   BudgetAttachment budget_;
 };

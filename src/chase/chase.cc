@@ -93,6 +93,27 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
     stats_.discovery_threads =
         std::min(stats_.discovery_threads, options_.executor->worker_count());
   }
+  std::size_t unit_count = 0;
+  for (const Tgd& rule : rules_.rules()) unit_count += rule.body().size();
+  units_ = std::vector<DiscoveryUnit>(unit_count);
+  DiscoveryUnit* unit = units_.data();
+  for (uint32_t r = 0; r < rules_.size(); ++r) {
+    const Tgd& rule = rules_.rule(r);
+    const std::size_t body_size = rule.body().size();
+    for (std::size_t pivot = 0; pivot < body_size; ++pivot, ++unit) {
+      unit->rule = r;
+      unit->rows.SetWidth(rule.num_variables());
+      unit->rows.SetMemoryBudget(memory_budget_.get());
+      HomSearchOptions& search = unit->search;
+      search.ranges.assign(body_size, MatchRange::kAll);
+      std::fill_n(search.ranges.begin(), pivot, MatchRange::kOldOnly);
+      search.ranges[pivot] = MatchRange::kDeltaOnly;
+      search.visits = &unit->visits;
+      search.budget_exhausted = &unit->budget_exhausted;
+      search.governor = &governor_;
+      search.governor_tripped = &unit->governor_tripped;
+    }
+  }
 }
 
 ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
@@ -152,7 +173,7 @@ std::vector<uint32_t> ChaseRun::TriggerKey(uint32_t rule_index,
 }
 
 ChaseRun::HeadCheck ChaseRun::CheckHeadSatisfied(const Tgd& rule,
-                                                 const Binding& binding,
+                                                 const Term* binding,
                                                  ChaseOutcome* outcome) {
   PhaseScope head_check(Phase::kChaseHeadCheck);
   // Cooperative checkpoint at the check boundary: a run that is out of
@@ -277,65 +298,24 @@ ThreadPool* ChaseRun::Pool(uint32_t num_threads) {
   return owned_pool_.get();
 }
 
-std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
-    AtomId watermark, bool* capped, bool* stopped,
-    ChaseOutcome* stop_outcome) {
-  // One unit per (rule, pivot) pair: the pivot conjunct is constrained to
-  // the delta, so the units partition the round's homomorphisms. Each unit
-  // runs the backtracking search and writes its rows, in enumeration
-  // order, into its own segment; workers share the instance read-only, so
-  // the phase is data-race-free by construction.
-  struct DiscoveryUnit {
-    uint32_t rule = 0;
-    BindingSegment rows;
-    /// The unit's search: conjuncts before the pivot match old atoms, the
-    /// pivot delta atoms, later ones any atom; the out-flags point here.
-    HomSearchOptions search;
-    uint64_t visits = 0;
-    bool budget_exhausted = false;  ///< Join budget or row cap ran out.
-    bool governor_tripped = false;
-  };
-  std::size_t unit_count = 0;
-  for (uint32_t r = 0; r < rules_.size(); ++r) {
-    unit_count += rules_.rule(r).body().size();
-  }
-  // Sized up front and never moved: each unit's search points at the
-  // unit's own out-flags.
-  std::vector<DiscoveryUnit> units(unit_count);
-  {
-    std::size_t u = 0;
-    for (uint32_t r = 0; r < rules_.size(); ++r) {
-      const Tgd& rule = rules_.rule(r);
-      const std::size_t body_size = rule.body().size();
-      for (std::size_t pivot = 0; pivot < body_size; ++pivot, ++u) {
-        DiscoveryUnit& unit = units[u];
-        unit.rule = r;
-        unit.rows.SetWidth(rule.num_variables());
-        unit.rows.SetMemoryBudget(memory_budget_.get());
-        HomSearchOptions& search = unit.search;
-        search.ranges.assign(body_size, MatchRange::kAll);
-        std::fill_n(search.ranges.begin(), pivot, MatchRange::kOldOnly);
-        search.ranges[pivot] = MatchRange::kDeltaOnly;
-        search.watermark = watermark;
-        search.visits = &unit.visits;
-        search.budget_exhausted = &unit.budget_exhausted;
-        search.governor = &governor_;
-        search.governor_tripped = &unit.governor_tripped;
-      }
-    }
-  }
+bool ChaseRun::DiscoverTriggers(AtomId watermark, RoundStats* draft,
+                                bool* capped, ChaseOutcome* stop_outcome) {
+  // Each unit runs the backtracking search and writes its rows, in
+  // enumeration order, into its own segment; workers share the instance
+  // read-only, so the phase is data-race-free by construction.
+  pending_.clear();
+  for (DiscoveryUnit& unit : units_) unit.search.watermark = watermark;
 
   // Adaptive cutover: tiny rounds run inline even with a pool configured —
   // waking parked workers costs more than a handful of index probes. The
   // units and their merge are the same either way, so this is purely a
   // scheduling decision.
   const uint32_t num_threads = stats_.discovery_threads;
-  last_estimated_work_ = EstimateDiscoveryWork(watermark);
-  last_parallel_ = num_threads > 1 &&
-                   (options_.parallel_cutover_work == 0 ||
-                    last_estimated_work_ >= options_.parallel_cutover_work);
-  last_units_ = 0;
-  last_binding_rows_ = 0;
+  draft->estimated_work = EstimateDiscoveryWork(watermark);
+  draft->parallel_discovery =
+      num_threads > 1 &&
+      (options_.parallel_cutover_work == 0 ||
+       draft->estimated_work >= options_.parallel_cutover_work);
 
   const auto remaining = [](uint64_t cap, uint64_t used) {
     return cap > used ? cap - used : 0;
@@ -348,7 +328,7 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   const auto run_unit = [&](uint64_t u, uint64_t join_budget,
                             uint64_t found_cap) {
     if (abort_outcome.load(std::memory_order_relaxed) >= 0) return;
-    DiscoveryUnit& unit = units[u];
+    DiscoveryUnit& unit = units_[u];
     ChaseOutcome unit_outcome;
     if (GovernorStop(FaultSite::kDiscovery, u, &unit_outcome)) {
       abort_outcome.store(static_cast<int>(unit_outcome),
@@ -380,8 +360,8 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   const auto aborted = [&]() {
     const int code = abort_outcome.load(std::memory_order_relaxed);
     if (code < 0) return false;
-    *stopped = true;
     *stop_outcome = static_cast<ChaseOutcome>(code);
+    pending_.clear();
     return true;
   };
 
@@ -389,19 +369,17 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   // variant's trigger key. The step cap counts deduplicated candidates,
   // the hom cap every row; either stops the merge right after the row
   // that reaches it. Returns true when a cap stopped it.
-  std::vector<PendingTrigger> pending;
   const auto merge = [&](const DiscoveryUnit& unit) {
-    ++last_units_;
-    last_binding_rows_ += unit.rows.rows();
-    const uint32_t width = unit.rows.width();
+    ++draft->fallback_units;
+    draft->binding_rows += unit.rows.rows();
     for (uint64_t i = 0; i < unit.rows.rows(); ++i) {
       const Term* row = unit.rows.row(i);
       ++hom_discoveries_;
       if (applied_keys_.insert(TriggerKey(unit.rule, row)).second) {
         ++stats_.per_rule[unit.rule].discovered;
-        pending.push_back(PendingTrigger{unit.rule, Binding(row, row + width)});
+        pending_.push_back(PendingTrigger{unit.rule, row});
       }
-      if (applied_triggers_ + pending.size() >= options_.max_steps ||
+      if (applied_triggers_ + pending_.size() >= options_.max_steps ||
           hom_discoveries_ >= options_.max_hom_discoveries) {
         return true;
       }
@@ -418,18 +396,18 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   const uint64_t found_cap =
       std::min(remaining(options_.max_hom_discoveries, hom_discoveries_),
                remaining(options_.max_steps, applied_triggers_));
-  if (last_parallel_) {
-    Pool(num_threads)->ParallelFor(units.size(), [&](uint64_t u) {
+  if (draft->parallel_discovery) {
+    Pool(num_threads)->ParallelFor(units_.size(), [&](uint64_t u) {
       run_unit(u, join_budget, found_cap);
     });
   } else {
-    for (uint64_t u = 0; u < units.size(); ++u) {
+    for (uint64_t u = 0; u < units_.size(); ++u) {
       run_unit(u, join_budget, found_cap);
     }
   }
   uint64_t total_visits = 0;
   bool any_exhausted = false;
-  for (const DiscoveryUnit& unit : units) {
+  for (const DiscoveryUnit& unit : units_) {
     total_visits += unit.visits;
     any_exhausted |= unit.budget_exhausted;
   }
@@ -438,20 +416,20 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
     // stats stay truthful.
     join_work_ += total_visits;
     if (any_exhausted) *capped = true;
-    return {};
+    return false;
   }
   if (!any_exhausted && total_visits < join_budget) {
     // Every unit ran to completion within the cumulative join budget, so
     // the merge sees exactly the rows a cumulative unit-by-unit pass
     // would produce.
     join_work_ += total_visits;
-    for (const DiscoveryUnit& unit : units) {
+    for (const DiscoveryUnit& unit : units_) {
       if (merge(unit)) {
         *capped = true;
         break;
       }
     }
-    return pending;
+    return true;
   }
 
   // A cap bound somewhere. Where it stops a cumulative pass depends on
@@ -462,23 +440,23 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   // count, so capped runs stay bit-identical across discovery_threads; a
   // capped round is terminal, so this costs at most one extra pass per
   // run.
-  last_parallel_ = false;
-  last_units_ = 0;
-  last_binding_rows_ = 0;
-  for (uint64_t u = 0; u < units.size(); ++u) {
+  draft->parallel_discovery = false;
+  draft->fallback_units = 0;
+  draft->binding_rows = 0;
+  for (uint64_t u = 0; u < units_.size(); ++u) {
     run_unit(u, remaining(options_.max_join_work, join_work_),
              remaining(options_.max_hom_discoveries, hom_discoveries_));
-    join_work_ += units[u].visits;
+    join_work_ += units_[u].visits;
     if (aborted()) {
-      if (units[u].budget_exhausted) *capped = true;
-      return {};
+      if (units_[u].budget_exhausted) *capped = true;
+      return false;
     }
-    if (merge(units[u]) || units[u].budget_exhausted) {
+    if (merge(units_[u]) || units_[u].budget_exhausted) {
       *capped = true;
       break;
     }
   }
-  return pending;
+  return true;
 }
 
 void ChaseRun::UpdateStatsPeaks() {
@@ -553,38 +531,33 @@ bool ChaseRun::ExecuteRound(AtomId* watermark, const AtomObserver& observer,
   // otherwise enumerate combinatorially many homomorphisms in a single
   // round before any trigger is applied.
   bool discovery_capped = false;
-  bool discovery_stopped = false;
-  double discovery_seconds = 0.0;
-  std::vector<PendingTrigger> pending;
+  bool discovery_ok;
+  RoundStats draft;
   {
-    PhaseScope discovery(Phase::kChaseDiscovery, rounds_, &discovery_seconds);
-    pending = DiscoverTriggers(*watermark, &discovery_capped,
-                               &discovery_stopped, outcome);
+    PhaseScope discovery(Phase::kChaseDiscovery, rounds_,
+                         &draft.discovery_seconds);
+    discovery_ok =
+        DiscoverTriggers(*watermark, &draft, &discovery_capped, outcome);
   }
 
-  if (discovery_stopped || pending.empty()) {
+  if (!discovery_ok || pending_.empty()) {
     // A stopped pass is partial — applying it would skew restricted-chase
     // order semantics — so it is dropped with *outcome already set. A
     // capped empty pass may have lost homomorphisms that will not be
     // re-found: the run is incomplete, not terminated.
-    stats_.final_discovery_seconds += discovery_seconds;
-    if (!discovery_stopped) {
+    stats_.final_discovery_seconds += draft.discovery_seconds;
+    if (discovery_ok) {
       *outcome = discovery_capped ? ChaseOutcome::kResourceLimit
                                   : ChaseOutcome::kTerminated;
     }
     return false;
   }
   ++rounds_;
-  stats_.per_round.push_back(RoundStats{});
+  draft.delta_atoms = frontier_end - *watermark;
+  draft.candidates = pending_.size();
+  if (draft.parallel_discovery) ++stats_.parallel_rounds;
+  stats_.per_round.push_back(draft);
   RoundStats& round = stats_.per_round.back();
-  round.delta_atoms = frontier_end - *watermark;
-  round.candidates = pending.size();
-  round.discovery_seconds = discovery_seconds;
-  round.estimated_work = last_estimated_work_;
-  round.parallel_discovery = last_parallel_;
-  round.fallback_units = last_units_;
-  round.binding_rows = last_binding_rows_;
-  if (last_parallel_) ++stats_.parallel_rounds;
 
   // Reorder within the round per the configured strategy. Every
   // strategy applies all discovered triggers before the next round, so
@@ -594,7 +567,7 @@ bool ChaseRun::ExecuteRound(AtomId* watermark, const AtomObserver& observer,
       break;
     case TriggerOrder::kDatalogFirst:
       std::stable_partition(
-          pending.begin(), pending.end(), [this](const PendingTrigger& t) {
+          pending_.begin(), pending_.end(), [this](const PendingTrigger& t) {
             return rules_.rule(t.rule).IsFull();
           });
       break;
@@ -603,8 +576,8 @@ bool ChaseRun::ExecuteRound(AtomId* watermark, const AtomObserver& observer,
       // pairs give independent shuffles; `seed + round` would make
       // (s, r+1) replay (s+1, r) and correlate adjacent seeds.
       Rng rng(SplitMix64(options_.order_seed ^ SplitMix64(rounds_)));
-      for (std::size_t i = pending.size(); i > 1; --i) {
-        std::swap(pending[i - 1], pending[rng.NextBelow(i)]);
+      for (std::size_t i = pending_.size(); i > 1; --i) {
+        std::swap(pending_[i - 1], pending_[rng.NextBelow(i)]);
       }
       break;
     }
@@ -615,7 +588,7 @@ bool ChaseRun::ExecuteRound(AtomId* watermark, const AtomObserver& observer,
   // never rehashes the dedup table or position index mid-flight.
   uint64_t reserve_atoms = 0;
   uint64_t reserve_terms = 0;
-  for (const PendingTrigger& trigger : pending) {
+  for (const PendingTrigger& trigger : pending_) {
     for (const Atom& head_atom : rules_.rule(trigger.rule).head()) {
       ++reserve_atoms;
       reserve_terms += head_atom.arity();
@@ -638,7 +611,7 @@ bool ChaseRun::ExecuteRound(AtomId* watermark, const AtomObserver& observer,
   bool apply_ok;
   {
     PhaseScope apply(Phase::kChaseApply, rounds_ - 1, &round.apply_seconds);
-    apply_ok = ApplyPendingBatch(pending, observer, &round, outcome);
+    apply_ok = ApplyPendingBatch(observer, &round, outcome);
   }
   round.applied = applied_triggers_ - applied_before;
   if (ProgressEnabled()) {

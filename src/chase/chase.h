@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -63,8 +64,8 @@ enum class FaultSite {
                   ///< memory budget's pre-size denial sits, so injecting
                   ///< kMemoryBudget here exercises every byte-budget stop
                   ///< path without an actual multi-megabyte instance. The
-                  ///< ordinal sequence does not depend on whether the
-                  ///< apply phase stages or inserts directly, nor on the
+                  ///< ordinal sequence does not depend on when the apply
+                  ///< phase flushes its staged head atoms, nor on the
                   ///< discovery thread count.
 };
 
@@ -130,8 +131,9 @@ struct ChaseOptions {
   /// on high-fanout unguarded joins).
   uint64_t max_join_work = std::numeric_limits<uint64_t>::max();
   /// Record per-atom and per-trigger provenance (costs memory; required by
-  /// the termination deciders' pump detection). Provenance runs insert
-  /// head atoms one by one instead of staging them for a bulk flush.
+  /// the termination deciders' pump detection). Provenance runs stage and
+  /// flush head atoms like every run; the provenance is written at the
+  /// flush, from a (trigger, head index) column kept beside the block.
   bool track_provenance = false;
   /// Byte budget for the run's retained storage (term arena, atom
   /// records, dedup table, position index, posting lists, batch staging).
@@ -141,7 +143,9 @@ struct ChaseOptions {
   /// over it — either way the run stops cleanly with
   /// ChaseOutcome::kMemoryBudgetExceeded, the partial instance and stats
   /// intact, never a throw mid-grow. Per-atom steady-state growth between
-  /// checkpoints bounds the overshoot to one geometric growth step.
+  /// checkpoints bounds the overshoot to one geometric growth step. The
+  /// discovery units' binding segments are reused round after round, so
+  /// their high-water capacity stays charged for the whole run.
   uint64_t max_memory_bytes = 0;
   /// Externally owned budget to charge instead of a private one built
   /// from max_memory_bytes (which is then ignored). Lets sequential
@@ -256,9 +260,9 @@ struct RoundStats {
   /// Bulk segments flushed into the store this round. One per maximal run
   /// of same-shape head atoms: a whole (semi-)oblivious round of a
   /// single-head rule is one block; restricted rounds flush before every
-  /// satisfaction check and so count one block per applied trigger.
-  /// Provenance and observer runs insert head atoms directly and flush no
-  /// blocks.
+  /// satisfaction check, observer runs after every trigger, and both so
+  /// count at least one block per applied trigger. Provenance alone does
+  /// not change the count.
   uint64_t batch_blocks = 0;
   /// Discovery units whose rows came from a compiled join plan: always 0,
   /// since every unit runs the backtracking search. Kept in the
@@ -389,15 +393,32 @@ class ChaseRun {
 
  private:
   /// Shared construction tail: everything but the seeding (budget
-  /// attachment, stats setup, plan compilation). The public constructors
-  /// delegate here, then seed.
+  /// attachment, stats setup, the discovery units). The public
+  /// constructors delegate here, then seed.
   ChaseRun(const RuleSet& rules, ChaseOptions options);
 
-  /// A discovered, deduplicated trigger awaiting application.
+  /// One (rule, pivot) discovery unit: the pivot conjunct is constrained
+  /// to the delta, so the units partition a round's homomorphisms. Built
+  /// once per run; each pass sets only the watermark and refills `rows`.
+  struct DiscoveryUnit {
+    uint32_t rule = 0;
+    BindingSegment rows;
+    /// The unit's search: conjuncts before the pivot match old atoms, the
+    /// pivot delta atoms, later ones any atom; the out-flags point here.
+    HomSearchOptions search;
+    uint64_t visits = 0;
+    bool budget_exhausted = false;  ///< Join budget or row cap ran out.
+    bool governor_tripped = false;
+  };
+
+  /// A discovered, deduplicated trigger awaiting application: a view of
+  /// its binding row in its unit's segment, valid until the next
+  /// discovery pass.
   struct PendingTrigger {
     uint32_t rule;
-    Binding binding;
+    const Term* row;
   };
+  static_assert(std::is_trivially_copyable_v<PendingTrigger>);
 
   /// Outcome of one restricted-chase head-satisfaction check.
   enum class HeadCheck {
@@ -408,34 +429,29 @@ class ChaseRun {
   };
 
   /// Governed head-satisfaction check: true iff the rule head, under the
-  /// frontier part of `binding`, already maps into the instance.
+  /// frontier part of `binding` (one term per rule variable), already
+  /// maps into the instance.
   /// Checkpoints at FaultSite::kHeadCheck on entry and threads the
   /// governor + join budget into the search; full rules take a ground
   /// fast path (one dedup probe per head atom, counted as one join-work
   /// visit each).
-  HeadCheck CheckHeadSatisfied(const Tgd& rule, const Binding& binding,
+  HeadCheck CheckHeadSatisfied(const Tgd& rule, const Term* binding,
                                ChaseOutcome* outcome);
 
-  /// Applies a round's pending triggers in order (defined in
-  /// batch_apply.cc; see HeadBlock). Head atoms are staged and bulk
-  /// flushed, except in provenance and observer runs and next to the
-  /// atom cap, where they are inserted one by one. Returns false when the
-  /// run must stop, with *outcome set; staged atoms are always flushed
-  /// before returning.
-  bool ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
-                         const AtomObserver& observer, RoundStats* round,
+  /// Applies pending_ in order (defined in batch_apply.cc; see
+  /// HeadBlock). Every head atom is staged and enters the instance
+  /// through a block flush: before each restricted head check, after
+  /// each trigger when an observer is attached, around the one atom that
+  /// could cross max_atoms, and at the end. Returns false when the run
+  /// must stop, with *outcome set; staged atoms are always flushed before
+  /// returning.
+  bool ApplyPendingBatch(const AtomObserver& observer, RoundStats* round,
                          ChaseOutcome* outcome);
 
-  /// Inserts `head` under extended_scratch_ straight into the instance.
-  std::pair<AtomId, bool> InsertHeadAtom(const Atom& head);
-
-  /// The provenance/observer half of ApplyPendingBatch for one trigger
-  /// already counted as applied (its nulls in extended_scratch_): inserts
-  /// each head atom directly, writes its provenance and trigger record,
-  /// then hands the new atom ids to `observer`. Returns false on an atom
-  /// cap trip or an observer abort, with *outcome set.
-  bool ApplyDirect(const PendingTrigger& trigger, const AtomObserver& observer,
-                   ChaseOutcome* outcome);
+  /// Appends the TriggerRecord of a trigger just counted as applied (its
+  /// nulls in extended_scratch_): binding, body-atom ids and created
+  /// nulls. Its produced ids are appended when its rows flush.
+  void RecordTrigger(uint32_t rule_index, const Term* binding);
 
   /// True if the run must stop here: consults the fault injector (when
   /// set) and then the governor, writing the abort outcome to *outcome.
@@ -460,19 +476,19 @@ class ChaseRun {
   bool ExecuteRound(AtomId* watermark, const AtomObserver& observer,
                     ChaseOutcome* outcome);
 
-  /// One round of semi-naive trigger discovery: every homomorphism whose
-  /// image touches an atom with id >= `watermark`, deduplicated through
-  /// applied_keys_, in deterministic (rule, pivot, discovery) order.
-  /// Each (rule, pivot) unit runs the backtracking search into a
-  /// BindingSegment, inline or on the pool per discovery_threads; the
-  /// rows then merge in unit order. Sets *capped when a discovery cap was
-  /// hit (results may then be incomplete); sets *stopped and
-  /// *stop_outcome when the governor or fault injector tripped
-  /// mid-phase (the returned triggers are then partial and must
-  /// not be applied).
-  std::vector<PendingTrigger> DiscoverTriggers(AtomId watermark, bool* capped,
-                                               bool* stopped,
-                                               ChaseOutcome* stop_outcome);
+  /// One round of semi-naive trigger discovery into pending_: every
+  /// homomorphism whose image touches an atom with id >= `watermark`,
+  /// deduplicated through applied_keys_, in deterministic (rule, pivot,
+  /// discovery) order. Each unit in units_ runs the backtracking search
+  /// into its segment, inline or on the pool per discovery_threads; the
+  /// rows then merge in unit order. Fills the discovery fields of
+  /// `draft` (estimated_work, parallel_discovery, fallback_units,
+  /// binding_rows). Sets *capped when a discovery cap was hit (results
+  /// may then be incomplete). Returns false, with *stop_outcome set and
+  /// pending_ empty, when the governor or fault injector tripped
+  /// mid-phase.
+  bool DiscoverTriggers(AtomId watermark, RoundStats* draft, bool* capped,
+                        ChaseOutcome* stop_outcome);
 
   /// Estimated join work for this round's discovery pass: for each
   /// (rule, pivot) unit, delta cardinality of the pivot predicate times
@@ -512,12 +528,11 @@ class ChaseRun {
   /// every parallel round reuses the same parked workers.
   std::shared_ptr<ThreadPool> owned_pool_;
 
-  /// Scratch written by DiscoverTriggers, folded into the round's stats
-  /// entry by Execute (the entry does not exist yet at discovery time).
-  uint64_t last_estimated_work_ = 0;
-  bool last_parallel_ = false;
-  uint64_t last_units_ = 0;
-  uint64_t last_binding_rows_ = 0;
+  /// The run's (rule, pivot) discovery units, in unit order. Sized once
+  /// and never moved: each unit's search points at its own out-flags.
+  std::vector<DiscoveryUnit> units_;
+  /// The current round's triggers, reused across rounds.
+  std::vector<PendingTrigger> pending_;
 
   ChaseStats stats_;
   uint64_t applied_triggers_ = 0;
@@ -535,13 +550,11 @@ class ChaseRun {
   Binding extended_scratch_;
   Binding frontier_scratch_;
   std::vector<Term> head_scratch_;
-  std::vector<AtomId> new_atoms_scratch_;
   HeadBlock batch_block_;
   /// Next labeled-null id. 64-bit so the max_nulls comparison cannot wrap
   /// (a 32-bit counter would silently recycle ids past 2^32).
   uint64_t next_null_ = 0;
   bool executed_ = false;
-  bool abort_requested_ = false;
   /// Set when the EDB seed was budget-denied (or the EDB's own load
   /// tripped the budget): Execute() returns kMemoryBudgetExceeded at its
   /// first checkpoint, with whatever prefix was seeded intact.

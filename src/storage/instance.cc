@@ -133,7 +133,7 @@ AtomId Instance::AppendRow(PredicateId pred, const Term* args, uint32_t arity,
 }
 
 uint32_t Instance::TryAddBatch(PredicateId pred, const Term* terms,
-                               uint32_t arity, uint32_t n) {
+                               uint32_t arity, uint32_t n, AtomId* ids) {
   if (n == 0) return 0;
   // One exact-sized growth pass for the whole block: the per-row loop
   // below never rehashes or reallocates, so a round's worth of head
@@ -160,9 +160,12 @@ uint32_t Instance::TryAddBatch(PredicateId pred, const Term* terms,
     const Term* args = terms + static_cast<std::size_t>(i) * arity;
     const uint64_t hash = HashAtomTerms(pred, args, arity);
     const std::size_t slot = DedupSlotFor(hash, pred, args, arity);
-    if (dedup_ids_[slot] != kEmptySlot) continue;
-    AppendRow(pred, args, arity, hash, slot);
-    ++added;
+    AtomId id = dedup_ids_[slot];
+    if (id == kEmptySlot) {
+      id = AppendRow(pred, args, arity, hash, slot);
+      ++added;
+    }
+    if (ids != nullptr) ids[i] = id;
   }
   return added;
 }

@@ -98,9 +98,11 @@ class Instance {
   /// deduped and appended in order — duplicate rows (within the block or
   /// against the store) are skipped, and surviving rows get contiguous
   /// append-ordered ids, exactly as if inserted one TryAdd at a time.
-  /// Returns the number of rows actually added.
+  /// When `ids` is non-null it receives one id per row: the new id, or
+  /// for a duplicate the id of the atom it duplicates. Returns the number
+  /// of rows actually added.
   uint32_t TryAddBatch(PredicateId pred, const Term* terms, uint32_t arity,
-                       uint32_t n);
+                       uint32_t n, AtomId* ids = nullptr);
 
   /// Synonym for TryAdd (the historical name).
   std::pair<AtomId, bool> Insert(const Atom& atom) { return TryAdd(atom); }

@@ -1,13 +1,17 @@
 // Tests for the apply path (chase/batch_apply.{h,cc}): bit-identity with
-// the reference chase across the variant x order x cap-regime grid, for
-// both the staged bulk flush and the direct insertion that provenance
-// runs use; the restricted-chase flush-before-head-check ordering;
-// HeadBlock segment mechanics; and the governed head-satisfaction check
-// (deterministic fault injection + a wall-clock adversarial head join).
+// the reference chase across the variant x order x cap-regime grid, with
+// and without provenance (which must flush the very same blocks); the
+// observer's view of a trigger's complete record; the restricted-chase
+// flush-before-head-check ordering; HeadBlock segment mechanics; and the
+// governed head-satisfaction check (deterministic fault injection + a
+// wall-clock adversarial head join).
 
 #include "chase/batch_apply.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "base/timer.h"
 #include "chase/chase.h"
@@ -23,25 +27,26 @@ namespace {
 // Bit-identity: engine vs reference over variants, orders, cap regimes.
 
 /// Asserts full bit-identity of the engine against the reference chase,
-/// once staging head atoms for a bulk flush and once inserting them
-/// directly (the provenance mode), and that every applied trigger went
-/// through the one apply path.
+/// once without and once with provenance, that every applied trigger went
+/// through the one apply path, and that the provenance run flushes
+/// exactly the blocks of the staged run, round by round.
 void ExpectTwinsIdentical(const ParsedProgram& program, ChaseOptions options,
                           const std::string& context) {
+  std::vector<uint64_t> blocks[2];
   for (bool provenance : {false, true}) {
     options.track_provenance = provenance;
     const std::string where =
-        context + (provenance ? " (direct)" : " (staged)");
+        context + (provenance ? " (provenance)" : " (staged)");
     const ChaseResult engine = ExpectMatchesReference(program, options, where);
     for (std::size_t i = 0; i < engine.stats.per_round.size(); ++i) {
       const RoundStats& round = engine.stats.per_round[i];
       EXPECT_EQ(round.batched_triggers, round.applied)
           << where << " round " << i;
-      if (provenance) {
-        EXPECT_EQ(round.batch_blocks, 0u) << where;
-      }
+      blocks[provenance].push_back(round.batch_blocks);
     }
   }
+  EXPECT_EQ(blocks[true], blocks[false])
+      << context << ": per-round batch_blocks, provenance vs staged";
 }
 
 /// A workload exercising every batch mechanism at once: existential
@@ -134,6 +139,49 @@ TEST(BatchApplyTest, BitIdenticalUnderNullCap) {
       ExpectTwinsIdentical(program, options,
                            std::string(ChaseVariantName(variant)) +
                                "/max_nulls=" + std::to_string(cap));
+    }
+  }
+}
+
+// -------------------------------------------------------------------------
+// Observer notification: per trigger, after the trigger's record is
+// complete, whichever flush point put its atoms into the instance.
+
+TEST(BatchApplyTest, ObserverSeesCompleteTriggerRecord) {
+  ParsedProgram program = MixedWorkload();
+  for (ChaseVariant variant :
+       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
+        ChaseVariant::kRestricted}) {
+    // 60 crosses the atom cap mid-round (the cap-adjacent flushes);
+    // 4000 stops on the step cap.
+    for (uint64_t cap : {60u, 4000u}) {
+      const std::string where = std::string(ChaseVariantName(variant)) +
+                                "/max_atoms=" + std::to_string(cap);
+      ChaseOptions options;
+      options.variant = variant;
+      options.track_provenance = true;
+      options.max_atoms = cap;
+      options.max_steps = 4000;
+      ChaseRun run(program.rules, options, program.facts);
+      int64_t last_seen = -1;
+      uint64_t seen = 0;
+      run.Execute([&](AtomId id) {
+        const std::vector<TriggerRecord>& triggers = run.triggers();
+        EXPECT_FALSE(triggers.empty()) << where;
+        if (triggers.empty()) return false;
+        const std::vector<AtomId>& produced = triggers.back().produced;
+        EXPECT_NE(std::find(produced.begin(), produced.end(), id),
+                  produced.end())
+            << where << " atom " << id;
+        EXPECT_EQ(run.provenance()[id].trigger, triggers.size() - 1)
+            << where << " atom " << id;
+        EXPECT_GT(static_cast<int64_t>(id), last_seen) << where;
+        last_seen = id;
+        ++seen;
+        return true;
+      });
+      // Every derived atom was observed: exactly once, by the order check.
+      EXPECT_EQ(seen, run.instance().size() - run.stats().edb_atoms) << where;
     }
   }
 }

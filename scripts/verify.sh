@@ -116,9 +116,9 @@ tier_tsan() {
   cmake --preset tsan &&
   cmake --build build-tsan -j"$(nproc)" \
     --target chase_test chase_limits_test chase_parallel_test governor_test \
-             obs_test batch_apply_test join_plan_test homomorphism_test memory_budget_test &&
+             obs_test batch_apply_test join_plan_test homomorphism_test trigger_key_test memory_budget_test &&
   (cd build-tsan && ctest -j"$(nproc)" \
-    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|Homomorphism|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress|PhaseScope')
+    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|Homomorphism|TriggerKey|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress|PhaseScope')
 }
 
 tier_asan() {
@@ -130,9 +130,9 @@ tier_asan() {
   cmake --preset asan &&
   cmake --build build-asan -j"$(nproc)" \
     --target governor_test egd_test chase_limits_test decider_test \
-             batch_apply_test join_plan_test homomorphism_test memory_budget_test edb_test &&
+             batch_apply_test join_plan_test homomorphism_test trigger_key_test memory_budget_test edb_test &&
   (cd build-asan && ctest -j"$(nproc)" \
-    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|Homomorphism|MemoryBudget|InstanceBudget|ChaseMemory|BulkLoad|EdbSeed|EdbSnapshot')
+    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|Homomorphism|TriggerKey|MemoryBudget|InstanceBudget|ChaseMemory|BulkLoad|EdbSeed|EdbSnapshot')
 }
 
 tier_perf() {

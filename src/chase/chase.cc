@@ -6,7 +6,6 @@
 #include <new>
 #include <utility>
 
-#include "base/hash.h"
 #include "base/rng.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
@@ -69,11 +68,6 @@ std::shared_ptr<MemoryBudget> EffectiveBudget(const ChaseOptions& options) {
 
 }  // namespace
 
-std::size_t ChaseRun::KeyHash::operator()(
-    const std::vector<uint32_t>& key) const noexcept {
-  return HashRange(key.begin(), key.end());
-}
-
 ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
     : rules_(rules),
       options_(std::move(options)),
@@ -92,6 +86,14 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
   if (options_.executor != nullptr) {
     stats_.discovery_threads =
         std::min(stats_.discovery_threads, options_.executor->worker_count());
+  }
+  trigger_keys_ = std::vector<TriggerKeyTable>(rules_.size());
+  for (uint32_t r = 0; r < rules_.size(); ++r) {
+    const Tgd& rule = rules_.rule(r);
+    const bool oblivious = options_.variant == ChaseVariant::kOblivious;
+    trigger_keys_[r].SetKeyVariables(oblivious ? rule.universal_variables()
+                                               : rule.frontier());
+    trigger_keys_[r].SetMemoryBudget(memory_budget_.get());
   }
   std::size_t unit_count = 0;
   for (const Tgd& rule : rules_.rules()) unit_count += rule.body().size();
@@ -154,22 +156,6 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
   seed_denied_ = seed.budget_denied || edb.load_stats().memory_exceeded;
   stats_.load_bytes = edb.load_stats().input_bytes;
   stats_.edb_atoms = instance_.size();
-}
-
-std::vector<uint32_t> ChaseRun::TriggerKey(uint32_t rule_index,
-                                           const Term* images) const {
-  const Tgd& rule = rules_.rule(rule_index);
-  const std::vector<VarId>& vars =
-      options_.variant == ChaseVariant::kOblivious ? rule.universal_variables()
-                                                   : rule.frontier();
-  std::vector<uint32_t> key;
-  key.reserve(vars.size() + 1);
-  key.push_back(rule_index);
-  for (VarId v : vars) {
-    GCHASE_CHECK(IsBound(images[v]));
-    key.push_back(images[v].raw());
-  }
-  return key;
 }
 
 ChaseRun::HeadCheck ChaseRun::CheckHeadSatisfied(const Tgd& rule,
@@ -365,23 +351,40 @@ bool ChaseRun::DiscoverTriggers(AtomId watermark, RoundStats* draft,
     return true;
   };
 
-  // The one merge loop: rows in unit order, deduplicated through the
-  // variant's trigger key. The step cap counts deduplicated candidates,
-  // the hom cap every row; either stops the merge right after the row
-  // that reaches it. Returns true when a cap stopped it.
+  // The one merge loop: rows in unit order, deduplicated through their
+  // rule's trigger-key table. The table is sized for the unit's rows up
+  // front, so the loop allocates nothing; rows are hashed kBatch at a
+  // time and their home slots prefetched before the inserts probe them.
+  // The step cap counts deduplicated candidates, the hom cap every row;
+  // either stops the merge right after the row that reaches it. Returns
+  // true when a cap stopped it.
   const auto merge = [&](const DiscoveryUnit& unit) {
     ++draft->fallback_units;
-    draft->binding_rows += unit.rows.rows();
-    for (uint64_t i = 0; i < unit.rows.rows(); ++i) {
-      const Term* row = unit.rows.row(i);
-      ++hom_discoveries_;
-      if (applied_keys_.insert(TriggerKey(unit.rule, row)).second) {
-        ++stats_.per_rule[unit.rule].discovered;
-        pending_.push_back(PendingTrigger{unit.rule, row});
+    const uint64_t rows = unit.rows.rows();
+    draft->binding_rows += rows;
+    if (rows == 0) return false;
+    constexpr uint64_t kBatch = 16;
+    TriggerKeyTable& keys = trigger_keys_[unit.rule];
+    RuleStats& rule_stats = stats_.per_rule[unit.rule];
+    keys.Reserve(rows);
+    uint64_t hashes[kBatch];
+    for (uint64_t begin = 0; begin < rows; begin += kBatch) {
+      const uint64_t n = std::min(kBatch, rows - begin);
+      for (uint64_t j = 0; j < n; ++j) {
+        hashes[j] = keys.Hash(unit.rows.row(begin + j));
+        keys.Prefetch(hashes[j]);
       }
-      if (applied_triggers_ + pending_.size() >= options_.max_steps ||
-          hom_discoveries_ >= options_.max_hom_discoveries) {
-        return true;
+      for (uint64_t j = 0; j < n; ++j) {
+        const Term* row = unit.rows.row(begin + j);
+        ++hom_discoveries_;
+        if (keys.Insert(row, hashes[j])) {
+          ++rule_stats.discovered;
+          pending_.push_back(PendingTrigger{unit.rule, row});
+        }
+        if (applied_triggers_ + pending_.size() >= options_.max_steps ||
+            hom_discoveries_ >= options_.max_hom_discoveries) {
+          return true;
+        }
       }
     }
     return false;
@@ -423,6 +426,7 @@ bool ChaseRun::DiscoverTriggers(AtomId watermark, RoundStats* draft,
     // the merge sees exactly the rows a cumulative unit-by-unit pass
     // would produce.
     join_work_ += total_visits;
+    PhaseScope merge_scope(Phase::kChaseDiscoveryMerge);
     for (const DiscoveryUnit& unit : units_) {
       if (merge(unit)) {
         *capped = true;
@@ -439,7 +443,9 @@ bool ChaseRun::DiscoverTriggers(AtomId watermark, RoundStats* draft,
   // before the next one runs. The rerun is independent of the thread
   // count, so capped runs stay bit-identical across discovery_threads; a
   // capped round is terminal, so this costs at most one extra pass per
-  // run.
+  // run. Its merge scope also covers the units it reruns (their own unit
+  // scopes time them separately).
+  PhaseScope merge_scope(Phase::kChaseDiscoveryMerge);
   draft->parallel_discovery = false;
   draft->fallback_units = 0;
   draft->binding_rows = 0;
@@ -465,8 +471,9 @@ void ChaseRun::UpdateStatsPeaks() {
       stats_.peak_position_index_keys, instance_.PositionIndexKeys());
   stats_.peak_position_index_entries = std::max(
       stats_.peak_position_index_entries, instance_.PositionIndexEntries());
-  stats_.peak_dedup_keys =
-      std::max<uint64_t>(stats_.peak_dedup_keys, applied_keys_.size());
+  uint64_t dedup_keys = 0;
+  for (const TriggerKeyTable& keys : trigger_keys_) dedup_keys += keys.size();
+  stats_.peak_dedup_keys = std::max(stats_.peak_dedup_keys, dedup_keys);
   stats_.peak_memory_bytes =
       std::max(stats_.peak_memory_bytes, memory_budget_->peak_bytes());
   stats_.memory_in_use_bytes = memory_budget_->in_use_bytes();

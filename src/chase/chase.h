@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "base/status.h"
 #include "base/thread_pool.h"
 #include "chase/batch_apply.h"
+#include "chase/trigger_keys.h"
 #include "model/tgd.h"
 #include "storage/homomorphism.h"
 #include "storage/instance.h"
@@ -136,7 +136,8 @@ struct ChaseOptions {
   /// flush, from a (trigger, head index) column kept beside the block.
   bool track_provenance = false;
   /// Byte budget for the run's retained storage (term arena, atom
-  /// records, dedup table, position index, posting lists, batch staging).
+  /// records, dedup table, position index, posting lists, batch staging,
+  /// discovery segments, trigger-key tables).
   /// 0 means unlimited. Enforced two ways: bulk growth points project
   /// their exact byte cost and refuse to commit it when it would cross
   /// the limit, and every governor checkpoint trips once live usage is
@@ -144,8 +145,9 @@ struct ChaseOptions {
   /// ChaseOutcome::kMemoryBudgetExceeded, the partial instance and stats
   /// intact, never a throw mid-grow. Per-atom steady-state growth between
   /// checkpoints bounds the overshoot to one geometric growth step. The
-  /// discovery units' binding segments are reused round after round, so
-  /// their high-water capacity stays charged for the whole run.
+  /// discovery units' binding segments are reused round after round, and
+  /// the trigger-key tables only grow, so their high-water capacity stays
+  /// charged for the whole run.
   uint64_t max_memory_bytes = 0;
   /// Externally owned budget to charge instead of a private one built
   /// from max_memory_bytes (which is then ignored). Lets sequential
@@ -377,18 +379,21 @@ class ChaseRun {
   uint64_t join_work() const { return join_work_; }
   const ChaseStats& stats() const { return stats_; }
 
-  /// Variant-specific dedup key: rule id followed by the raw images of the
-  /// relevant variables (all universals for oblivious, frontier otherwise).
-  /// `images` holds one term per rule variable (a Binding's data() or a
-  /// BindingSegment row). Exposed for the termination deciders'
-  /// pump-replay verification.
-  std::vector<uint32_t> TriggerKey(uint32_t rule_index,
-                                   const Term* images) const;
+  /// The variables whose images make up the rule's trigger key: every
+  /// universal variable for the oblivious chase, the frontier otherwise.
+  /// Two triggers of a rule are the same trigger iff their images agree
+  /// on these. Exposed for the termination deciders' pump-replay
+  /// verification.
+  const std::vector<VarId>& TriggerKeyVariables(uint32_t rule_index) const {
+    return trigger_keys_[rule_index].key_variables();
+  }
 
-  /// True if a trigger with this key has already been applied (or marked
-  /// satisfied, for the restricted variant).
-  bool WasKeyApplied(const std::vector<uint32_t>& key) const {
-    return applied_keys_.find(key) != applied_keys_.end();
+  /// True if a trigger of the rule with these images (one term per rule
+  /// variable: a Binding's data() or a BindingSegment row) has already
+  /// been discovered, and so applied or, for the restricted variant,
+  /// found satisfied or pending in the current round.
+  bool WasTriggerApplied(uint32_t rule_index, const Term* images) const {
+    return trigger_keys_[rule_index].Contains(images);
   }
 
  private:
@@ -478,7 +483,7 @@ class ChaseRun {
 
   /// One round of semi-naive trigger discovery into pending_: every
   /// homomorphism whose image touches an atom with id >= `watermark`,
-  /// deduplicated through applied_keys_, in deterministic (rule, pivot,
+  /// deduplicated through trigger_keys_, in deterministic (rule, pivot,
   /// discovery) order. Each unit in units_ runs the backtracking search
   /// into its segment, inline or on the pool per discovery_threads; the
   /// rows then merge in unit order. Fills the discovery fields of
@@ -518,10 +523,8 @@ class ChaseRun {
   std::vector<AtomProvenance> provenance_;
   std::vector<TriggerRecord> triggers_;
 
-  struct KeyHash {
-    std::size_t operator()(const std::vector<uint32_t>& key) const noexcept;
-  };
-  std::unordered_set<std::vector<uint32_t>, KeyHash> applied_keys_;
+  /// Discovered trigger keys, one table per rule (see TriggerKeyTable).
+  std::vector<TriggerKeyTable> trigger_keys_;
 
   /// Lazily created pool for parallel discovery when the caller did not
   /// supply ChaseOptions::executor. Lives for the rest of the run so

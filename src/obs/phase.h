@@ -32,6 +32,7 @@ struct PhaseRow {
   ROW(kChaseRound, "chase.round", kChase, true, {}, "chase.round_ns") \
   ROW(kChaseDiscovery, "chase.discovery", kChase, true, PerfPhase::kDiscovery, "chase.discovery_ns") \
   ROW(kChaseDiscoveryUnit, "chase.discovery_unit", kChase, false, {}, "chase.discovery_unit_ns") \
+  ROW(kChaseDiscoveryMerge, "chase.discovery_merge", kChase, false, {}, "chase.discovery_merge_ns") \
   ROW(kChaseApply, "chase.apply", kChase, true, PerfPhase::kApply, "chase.apply_ns") \
   ROW(kChaseBatchFlush, "chase.batch_flush", kChase, true, {}, "chase.batch_flush_ns") \
   ROW(kChaseHeadCheck, "chase.head_check", kChase, false, {}, "chase.head_check_ns") \

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "base/hash.h"
 
@@ -168,12 +169,19 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
       return false;
     }
 
-    std::vector<uint32_t> image_key =
-        run_.TriggerKey(trigger.rule, image_binding.data());
-    std::vector<uint32_t> original_key =
-        run_.TriggerKey(trigger.rule, trigger.binding.data());
+    // The replay key: rule id, then the images of the rule's key
+    // variables.
+    const std::vector<VarId>& key_vars = run_.TriggerKeyVariables(trigger.rule);
+    std::vector<uint32_t> image_key;
+    image_key.reserve(key_vars.size() + 1);
+    image_key.push_back(trigger.rule);
+    bool verbatim = true;
+    for (VarId var : key_vars) {
+      image_key.push_back(image_binding[var].raw());
+      if (image_binding[var] != trigger.binding[var]) verbatim = false;
+    }
 
-    if (image_key == original_key) {
+    if (verbatim) {
       // Verbatim no-op: outputs already exist; created nulls map to
       // themselves.
       for (Term n : trigger.created_nulls) phi.emplace(n.raw(), n.raw());
@@ -182,7 +190,9 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
 
     // Fresh replayed trigger: must be globally unapplied and must carry a
     // current-generation null (so the *next* replay's key is fresh too).
-    if (run_.WasKeyApplied(image_key)) return false;
+    if (run_.WasTriggerApplied(trigger.rule, image_binding.data())) {
+      return false;
+    }
     if (replayed_keys.find(image_key) != replayed_keys.end()) return false;
     bool carries_generation = false;
     for (std::size_t i = 1; i < image_key.size(); ++i) {
@@ -192,7 +202,7 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
       }
     }
     if (!carries_generation) return false;
-    replayed_keys.insert(image_key);
+    replayed_keys.insert(std::move(image_key));
 
     // Extend phi with fresh nulls for the trigger's created nulls.
     Binding extended = image_binding;

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -241,10 +242,10 @@ TEST(ChaseMemoryTest, CappedRunIsBitExactPrefixOfUncappedRun) {
 }
 
 TEST(ChaseMemoryTest, InjectedAllocationFaultIsEngineInvariant) {
-  // The kAllocation ordinal space does not depend on how the apply path
-  // inserts head atoms (staged, or directly as provenance runs do) nor on
-  // the discovery thread count: a memory-budget fault injected at the
-  // same ordinal must stop every configuration at the same prefix.
+  // The kAllocation ordinal space does not depend on whether the run
+  // records provenance (written at each flush of the staged head atoms)
+  // nor on the discovery thread count: a memory-budget fault injected at
+  // the same ordinal must stop every configuration at the same prefix.
   ParsedProgram program = MustParse(kDivergingProgram);
   for (uint64_t target : {uint64_t{0}, uint64_t{2}, uint64_t{6}}) {
     struct Stop {
@@ -259,7 +260,7 @@ TEST(ChaseMemoryTest, InjectedAllocationFaultIsEngineInvariant) {
       uint32_t threads;
     };
     for (const Engine& engine :
-         {Engine{"serial-staged", false, 1}, Engine{"serial-direct", true, 1},
+         {Engine{"serial-staged", false, 1}, Engine{"provenance", true, 1},
           Engine{"parallel-staged", false, 2}}) {
       auto fired = std::make_shared<std::atomic<bool>>(false);
       ChaseOptions options;
@@ -310,6 +311,36 @@ TEST(ChaseMemoryTest, SharedBudgetDrainsWhenRunsDie) {
   EXPECT_EQ(second.outcome, ChaseOutcome::kTerminated);
   EXPECT_EQ(budget->in_use_bytes(), 0u);
   EXPECT_GT(budget->peak_bytes(), 0u);
+}
+
+TEST(ChaseMemoryTest, PeakCoversTriggerKeyTables) {
+  // Transitive closure of a 150-edge chain: the trigger keys pile up over
+  // 150 rounds while each round's discovery rows stay few, so the key
+  // tables are a large share of what the run retains. A key costs at
+  // least its words in its table's arena plus, at max load 1/2, two
+  // 8-byte slots; all of it must be charged beside the instance.
+  std::string text =
+      "e(X,Y) -> p(X,Y).\n"
+      "p(X,Y), e(Y,Z) -> p(X,Z).\n";
+  for (int i = 0; i < 150; ++i) {
+    text += "e(n" + std::to_string(i) + ",n" + std::to_string(i + 1) + ").\n";
+  }
+  ParsedProgram program = MustParse(text);
+  ChaseOptions options;
+  options.variant = ChaseVariant::kOblivious;
+  ChaseRun run(program.rules, options, program.facts);
+  ASSERT_EQ(run.Execute(), ChaseOutcome::kTerminated);
+  const ChaseStats& stats = run.stats();
+  uint64_t key_bytes = 0;
+  for (uint32_t r = 0; r < program.rules.size(); ++r) {
+    key_bytes += stats.per_rule[r].discovered *
+                 (run.TriggerKeyVariables(r).size() * sizeof(uint32_t) +
+                  2 * sizeof(uint64_t));
+  }
+  EXPECT_GT(key_bytes, uint64_t{300} << 10);
+  EXPECT_GE(stats.memory_in_use_bytes,
+            run.instance().MemoryFootprint() + key_bytes);
+  EXPECT_GE(stats.peak_memory_bytes, stats.memory_in_use_bytes);
 }
 
 TEST(ChaseMemoryTest, AmpleBudgetLeavesTheRunUntouched) {

@@ -829,6 +829,52 @@ TEST(PhaseScopeTest, OneReadingFeedsStatsSpansAndHistograms) {
   EXPECT_NEAR(apply_hist->sum(), Nanos(stats_apply), rounds);
 }
 
+TEST(PhaseScopeTest, OneMergeSamplePerMergedPass) {
+  const bool was_profiling = ProfilingEnabled();
+  SetProfilingEnabled(true);
+  ParsedProgram program = MustParse(
+      "e(X,Y) -> p(X,Y).\n"
+      "p(X,Y), e(Y,Z) -> p(X,Z).\n"
+      "e(a,b). e(b,c). e(c,d). e(d,f). e(f,g). e(g,h).\n");
+  const auto samples = [](const char* name) {
+    const MetricHistogram* hist = MetricsRegistry::Global().FindHistogram(name);
+    return hist == nullptr ? uint64_t{0} : hist->count();
+  };
+
+  // Uncapped: every pass merges, the terminal empty one included.
+  MetricsRegistry::Global().Reset();
+  ChaseRun run(program.rules, ChaseOptions{}, program.facts);
+  ASSERT_EQ(run.Execute(), ChaseOutcome::kTerminated);
+  const uint64_t rounds = run.stats().per_round.size();
+  EXPECT_EQ(samples("chase.discovery_merge_ns"), rounds + 1);
+  EXPECT_EQ(samples("chase.discovery_ns"), rounds + 1);
+
+  // A hom cap that binds mid-round: the round reruns its units inline,
+  // and that pass still records one merge sample.
+  MetricsRegistry::Global().Reset();
+  ChaseOptions capped;
+  capped.max_hom_discoveries = 9;
+  ChaseRun capped_run(program.rules, capped, program.facts);
+  ASSERT_EQ(capped_run.Execute(), ChaseOutcome::kResourceLimit);
+  EXPECT_EQ(capped_run.hom_discoveries(), 9u);
+  EXPECT_EQ(samples("chase.discovery_merge_ns"),
+            samples("chase.discovery_ns"));
+
+  // A pass stopped at its first unit never reaches the merge.
+  MetricsRegistry::Global().Reset();
+  ChaseOptions faulted;
+  faulted.fault_injector = [](FaultSite site, uint64_t ordinal) {
+    return site == FaultSite::kDiscovery && ordinal == 0
+               ? InjectedFault::kCancel
+               : InjectedFault::kNone;
+  };
+  ChaseRun faulted_run(program.rules, faulted, program.facts);
+  ASSERT_EQ(faulted_run.Execute(), ChaseOutcome::kCancelled);
+  EXPECT_EQ(samples("chase.discovery_ns"), 1u);
+  EXPECT_EQ(samples("chase.discovery_merge_ns"), 0u);
+  SetProfilingEnabled(was_profiling);
+}
+
 TEST(PhaseScopeTest, ConcurrentScopesLoseNoSamples) {
   Tracer& tracer = Tracer::Global();
   tracer.Start(ConfigFor(kAllTraceCategories));

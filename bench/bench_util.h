@@ -66,9 +66,7 @@ inline std::string JsonNumber(uint64_t value) {
 /// wall-time in milliseconds; no escaping is needed.
 inline std::string ChaseStatsToJson(const ChaseStats& stats) {
   std::string out = "{";
-  out += "\"discovery_threads\": " + JsonNumber(uint64_t{stats.discovery_threads});
-  out += ", \"parallel_rounds\": " + JsonNumber(stats.parallel_rounds);
-  out += ", \"load_ms\": " + JsonNumber(stats.load_seconds * 1e3);
+  out += "\"load_ms\": " + JsonNumber(stats.load_seconds * 1e3);
   out += ", \"edb_atoms\": " + JsonNumber(stats.edb_atoms);
   out += ", \"load_bytes\": " + JsonNumber(stats.load_bytes);
   out += ", \"peak\": {";
@@ -103,14 +101,11 @@ inline std::string ChaseStatsToJson(const ChaseStats& stats) {
     out += ", \"discovery_ms\": " + JsonNumber(round.discovery_seconds * 1e3);
     out += ", \"apply_ms\": " + JsonNumber(round.apply_seconds * 1e3);
     out += ", \"round_ms\": " + JsonNumber(round.total_seconds * 1e3);
-    out += ", \"estimated_work\": " + JsonNumber(round.estimated_work);
     out += ", \"batched_triggers\": " + JsonNumber(round.batched_triggers);
     out += ", \"batch_blocks\": " + JsonNumber(round.batch_blocks);
     out += ", \"plan_units\": " + JsonNumber(round.plan_units);
     out += ", \"fallback_units\": " + JsonNumber(round.fallback_units);
     out += ", \"binding_rows\": " + JsonNumber(round.binding_rows);
-    out += ", \"parallel\": ";
-    out += round.parallel_discovery ? "true" : "false";
     out += "}";
   }
   out += "]}";

@@ -81,8 +81,6 @@ def stats_section(stats, max_rounds):
         ("EDB atoms", fmt_count(stats.get("edb_atoms", 0))),
         ("Peak atoms", fmt_count(peak.get("atoms", 0))),
         ("Load time", f"{stats.get('load_ms', 0.0):.3f} ms"),
-        ("Discovery threads", fmt_count(stats.get("discovery_threads", 0))),
-        ("Parallel rounds", fmt_count(stats.get("parallel_rounds", 0))),
         ("Peak memory", fmt_bytes(memory.get("peak_bytes", 0))),
     ]
     budget = memory.get("budget_bytes", 0)

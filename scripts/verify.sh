@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Repo verify flow: tier-1 build + full test suite, then the chase tests
-# again under ThreadSanitizer (the parallel trigger-discovery phase is the
-# only concurrency in the codebase; see docs/architecture.md §chase), then
-# the governor/abort-path tests under ASan+UBSan (abort paths unwind
-# partially-built state, exactly where lifetime bugs hide), then the perf
-# smoke against the committed E10 baseline, then a short differential
+# again under ThreadSanitizer (cross-thread cancellation, the heartbeat
+# thread and concurrent trace/histogram recording are the concurrency in
+# the codebase; discovery is serial), then the governor/abort-path tests
+# under ASan+UBSan (abort paths unwind partially-built state, exactly
+# where lifetime bugs hide), then the perf smoke against the committed
+# E13 baseline, then a short differential
 # fuzzing campaign (see docs/fuzzing.md), then the 1M-atom EDB bulk-load
 # smoke (the same gate CI's bulk-load-smoke job runs), then the run-report
 # smoke: one instrumented chase run whose stats + metrics + trace-summary
@@ -15,9 +16,9 @@
 # code, so callers (and CI logs) can tell tiers apart at a glance:
 #
 #   10  tier-1    build or full ctest suite failed
-#   11  tsan      race check of the parallel discovery phase failed
+#   11  tsan      race check of the threaded tests failed
 #   12  asan      abort-path leak/UB check failed
-#   13  perf      bench smoke failed or regressed vs BENCH_e10.json
+#   13  perf      bench smoke failed or regressed vs BENCH_e13.json
 #   14  fuzz      differential-oracle campaign found a violation
 #   15  bulkload  1M-atom EDB bulk-load smoke failed
 #   16  report    instrumented run or report generation failed
@@ -110,15 +111,15 @@ tier1() {
 }
 
 tier_tsan() {
-  # Tier 2: race-check the concurrent discovery phase (now including the
-  # governor's cross-thread cancellation). Only the threaded test binaries
+  # Tier 2: race-check the governor's cross-thread cancellation and the
+  # concurrent trace/histogram recording. Only the threaded test binaries
   # are built — TSan compile+run is ~10x, and nothing else spawns threads.
   cmake --preset tsan &&
   cmake --build build-tsan -j"$(nproc)" \
-    --target chase_test chase_limits_test chase_parallel_test governor_test \
+    --target chase_test chase_limits_test chase_discovery_test governor_test \
              obs_test batch_apply_test join_plan_test homomorphism_test trigger_key_test memory_budget_test &&
   (cd build-tsan && ctest -j"$(nproc)" \
-    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|Homomorphism|TriggerKey|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress|PhaseScope')
+    -R 'ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|BatchApply|HeadBlock|JoinPlan|BindingSegment|PlanExecutor|Homomorphism|TriggerKey|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress|PhaseScope')
 }
 
 tier_asan() {
@@ -136,19 +137,14 @@ tier_asan() {
 }
 
 tier_perf() {
-  # Tier 4 (perf smoke): run E10 and E13 on their smallest workloads in
-  # the tier-1 build. This is a correctness smoke for the bench harness
-  # plus a coarse perf tripwire — if a committed baseline exists, diff
-  # the fresh smoke rows against it and fail on regressions of matched
-  # (workload, variant, threads) rows. Smoke rows are a subset, so extra
-  # baseline rows are ignored by the comparator.
-  cmake --build --preset default -j"$(nproc)" \
-    --target bench_e10_storage_executor bench_e13_bulk_load &&
-  (cd build/bench && ./bench_e10_storage_executor --smoke --benchmark_filter=none) &&
+  # Tier 4 (perf smoke): run E13 on its smallest workloads in the tier-1
+  # build. This is a correctness smoke for the bench harness plus a
+  # coarse perf tripwire — if a committed baseline exists, diff the fresh
+  # smoke rows against it and fail on regressions of matched rows. Smoke
+  # rows are a subset, so extra baseline rows are ignored by the
+  # comparator.
+  cmake --build --preset default -j"$(nproc)" --target bench_e13_bulk_load &&
   (cd build/bench && ./bench_e13_bulk_load --smoke --benchmark_filter=none) &&
-  { [[ ! -f BENCH_e10.json ]] ||
-    python3 scripts/bench_compare.py BENCH_e10.json build/bench/BENCH_e10.json \
-      --threshold 0.50; } &&
   { [[ ! -f BENCH_e13.json ]] ||
     python3 scripts/bench_compare.py BENCH_e13.json build/bench/BENCH_e13.json \
       --threshold 0.50; }

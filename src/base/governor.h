@@ -47,8 +47,8 @@ inline const char* StopReasonName(StopReason reason) {
 /// at the engines' checkpoints (round boundaries, trigger applications,
 /// discovery units, and every ~1k candidate visits inside a join search).
 /// Checking is cheap — relaxed atomic loads, plus one steady-clock read
-/// only when a finite deadline is set — and thread-safe, so parallel
-/// discovery workers all check the same governor.
+/// only when a finite deadline is set — and thread-safe, so another
+/// thread may cancel while the run checks.
 ///
 /// The optional memory budget is observed level-based: a checkpoint trips
 /// while live usage is over the hard limit. The budget must outlive the

@@ -1,8 +1,6 @@
 #include "chase/chase.h"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
 #include <new>
 #include <utility>
 
@@ -82,11 +80,8 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
   stats_.memory_budget_bytes =
       memory_budget_->limited() ? memory_budget_->hard_limit_bytes() : 0;
   stats_.per_rule.assign(rules_.size(), RuleStats{});
-  stats_.discovery_threads = std::max<uint32_t>(1, options_.discovery_threads);
-  if (options_.executor != nullptr) {
-    stats_.discovery_threads =
-        std::min(stats_.discovery_threads, options_.executor->worker_count());
-  }
+  GCHASE_CHECK_MSG(options_.discovery_threads <= 1,
+                   "discovery is serial: ChaseOptions::discovery_threads > 1");
   trigger_keys_ = std::vector<TriggerKeyTable>(rules_.size());
   for (uint32_t r = 0; r < rules_.size(); ++r) {
     const Tgd& rule = rules_.rule(r);
@@ -254,210 +249,98 @@ bool ChaseRun::AllocationStop(uint64_t projected_bytes, ChaseOutcome* outcome) {
   return false;
 }
 
-uint64_t ChaseRun::EstimateDiscoveryWork(AtomId watermark) const {
-  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
-  uint64_t total = 0;
-  for (uint32_t r = 0; r < rules_.size(); ++r) {
-    const std::vector<Atom>& body = rules_.rule(r).body();
-    for (std::size_t pivot = 0; pivot < body.size(); ++pivot) {
-      const uint64_t delta =
-          instance_.CountWithPredicateSince(body[pivot].predicate, watermark);
-      if (delta == 0) continue;  // the unit enumerates nothing
-      uint64_t fanout = 1;
-      for (std::size_t i = 0; i < body.size(); ++i) {
-        if (i == pivot) continue;
-        fanout = std::max<uint64_t>(
-            fanout, instance_.AtomsWithPredicate(body[i].predicate).size());
+bool ChaseRun::MergeUnit(const DiscoveryUnit& unit, RoundStats* draft) {
+  // Rows in enumeration order, deduplicated through their rule's
+  // trigger-key table. The table and the pending list are sized for the
+  // unit's rows up front (the list geometrically), so the loop allocates
+  // nothing; rows are hashed kBatch at a time and their home slots
+  // prefetched before the inserts probe them. The step cap counts
+  // deduplicated candidates, the hom cap every row; either stops the
+  // merge right after the row that reaches it.
+  ++draft->fallback_units;
+  const uint64_t rows = unit.rows.rows();
+  draft->binding_rows += rows;
+  if (rows == 0) return false;
+  constexpr uint64_t kBatch = 16;
+  TriggerKeyTable& keys = trigger_keys_[unit.rule];
+  RuleStats& rule_stats = stats_.per_rule[unit.rule];
+  keys.Reserve(rows);
+  if (pending_.capacity() - pending_.size() < rows) {
+    pending_.reserve(std::max(2 * pending_.capacity(), pending_.size() + rows));
+  }
+  uint64_t hashes[kBatch];
+  for (uint64_t begin = 0; begin < rows; begin += kBatch) {
+    const uint64_t n = std::min(kBatch, rows - begin);
+    for (uint64_t j = 0; j < n; ++j) {
+      hashes[j] = keys.Hash(unit.rows.row(begin + j));
+      keys.Prefetch(hashes[j]);
+    }
+    for (uint64_t j = 0; j < n; ++j) {
+      const Term* row = unit.rows.row(begin + j);
+      ++hom_discoveries_;
+      if (keys.Insert(row, hashes[j])) {
+        ++rule_stats.discovered;
+        pending_.push_back(PendingTrigger{unit.rule, row});
       }
-      const uint64_t unit = delta > kMax / fanout ? kMax : delta * fanout;
-      total = total > kMax - unit ? kMax : total + unit;
+      if (applied_triggers_ + pending_.size() >= options_.max_steps ||
+          hom_discoveries_ >= options_.max_hom_discoveries) {
+        return true;
+      }
     }
   }
-  return total;
-}
-
-ThreadPool* ChaseRun::Pool(uint32_t num_threads) {
-  if (options_.executor != nullptr) return options_.executor.get();
-  if (owned_pool_ == nullptr) {
-    owned_pool_ = std::make_shared<ThreadPool>(num_threads);
-  }
-  return owned_pool_.get();
+  return false;
 }
 
 bool ChaseRun::DiscoverTriggers(AtomId watermark, RoundStats* draft,
                                 bool* capped, ChaseOutcome* stop_outcome) {
-  // Each unit runs the backtracking search and writes its rows, in
-  // enumeration order, into its own segment; workers share the instance
-  // read-only, so the phase is data-race-free by construction.
+  // The units run one at a time, in unit order. Each is granted the join
+  // budget and hom headroom its predecessors left and merges before the
+  // next one runs, so a cap stops the pass exactly where it binds. Each
+  // unit writes its rows into its own segment, so pending_'s views of
+  // earlier units stay valid.
   pending_.clear();
-  for (DiscoveryUnit& unit : units_) unit.search.watermark = watermark;
-
-  // Adaptive cutover: tiny rounds run inline even with a pool configured —
-  // waking parked workers costs more than a handful of index probes. The
-  // units and their merge are the same either way, so this is purely a
-  // scheduling decision.
-  const uint32_t num_threads = stats_.discovery_threads;
-  draft->estimated_work = EstimateDiscoveryWork(watermark);
-  draft->parallel_discovery =
-      num_threads > 1 &&
-      (options_.parallel_cutover_work == 0 ||
-       draft->estimated_work >= options_.parallel_cutover_work);
-
   const auto remaining = [](uint64_t cap, uint64_t used) {
     return cap > used ? cap - used : 0;
   };
-  // A governor/injector trip anywhere makes the whole phase stop early:
-  // workers publish the abort outcome here (first writer wins is fine —
-  // outcomes from concurrent trips are interchangeable) and every worker
-  // checks it before starting the next unit.
-  std::atomic<int> abort_outcome{-1};
-  const auto run_unit = [&](uint64_t u, uint64_t join_budget,
-                            uint64_t found_cap) {
-    if (abort_outcome.load(std::memory_order_relaxed) >= 0) return;
-    DiscoveryUnit& unit = units_[u];
-    ChaseOutcome unit_outcome;
-    if (GovernorStop(FaultSite::kDiscovery, u, &unit_outcome)) {
-      abort_outcome.store(static_cast<int>(unit_outcome),
-                          std::memory_order_relaxed);
-      return;
-    }
-    PhaseScope unit_scope(Phase::kChaseDiscoveryUnit);
-    unit.search.max_candidate_visits = join_budget;
-    unit.visits = 0;
-    unit.budget_exhausted = false;
-    unit.governor_tripped = false;
-    unit.rows.Clear();
-    const Tgd& rule = rules_.rule(unit.rule);
-    HomomorphismFinder(instance_).FindAllWithOptions(
-        rule.body(), rule.num_variables(), unit.search, Binding(),
-        [&unit, found_cap](const Binding& binding) {
-          unit.rows.AppendRow(binding.data());
-          if (unit.rows.rows() >= found_cap) {
-            unit.budget_exhausted = true;
-            return false;
-          }
-          return true;
-        });
-    if (unit.governor_tripped) {
-      abort_outcome.store(static_cast<int>(OutcomeOf(governor_.Check())),
-                          std::memory_order_relaxed);
-    }
-  };
-  const auto aborted = [&]() {
-    const int code = abort_outcome.load(std::memory_order_relaxed);
-    if (code < 0) return false;
-    *stop_outcome = static_cast<ChaseOutcome>(code);
-    pending_.clear();
-    return true;
-  };
-
-  // The one merge loop: rows in unit order, deduplicated through their
-  // rule's trigger-key table. The table is sized for the unit's rows up
-  // front, so the loop allocates nothing; rows are hashed kBatch at a
-  // time and their home slots prefetched before the inserts probe them.
-  // The step cap counts deduplicated candidates, the hom cap every row;
-  // either stops the merge right after the row that reaches it. Returns
-  // true when a cap stopped it.
-  const auto merge = [&](const DiscoveryUnit& unit) {
-    ++draft->fallback_units;
-    const uint64_t rows = unit.rows.rows();
-    draft->binding_rows += rows;
-    if (rows == 0) return false;
-    constexpr uint64_t kBatch = 16;
-    TriggerKeyTable& keys = trigger_keys_[unit.rule];
-    RuleStats& rule_stats = stats_.per_rule[unit.rule];
-    keys.Reserve(rows);
-    uint64_t hashes[kBatch];
-    for (uint64_t begin = 0; begin < rows; begin += kBatch) {
-      const uint64_t n = std::min(kBatch, rows - begin);
-      for (uint64_t j = 0; j < n; ++j) {
-        hashes[j] = keys.Hash(unit.rows.row(begin + j));
-        keys.Prefetch(hashes[j]);
-      }
-      for (uint64_t j = 0; j < n; ++j) {
-        const Term* row = unit.rows.row(begin + j);
-        ++hom_discoveries_;
-        if (keys.Insert(row, hashes[j])) {
-          ++rule_stats.discovered;
-          pending_.push_back(PendingTrigger{unit.rule, row});
-        }
-        if (applied_triggers_ + pending_.size() >= options_.max_steps ||
-            hom_discoveries_ >= options_.max_hom_discoveries) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
-
-  // First pass: every unit gets the round-start budgets in full — a
-  // worker cannot know how much its siblings spend. The row cap is the
-  // smaller of the hom and step headroom: no unit needs more rows than
-  // that before some cap must have bound.
-  const uint64_t join_budget =
-      remaining(options_.max_join_work, join_work_);
-  const uint64_t found_cap =
-      std::min(remaining(options_.max_hom_discoveries, hom_discoveries_),
-               remaining(options_.max_steps, applied_triggers_));
-  if (draft->parallel_discovery) {
-    Pool(num_threads)->ParallelFor(units_.size(), [&](uint64_t u) {
-      run_unit(u, join_budget, found_cap);
-    });
-  } else {
-    for (uint64_t u = 0; u < units_.size(); ++u) {
-      run_unit(u, join_budget, found_cap);
-    }
-  }
-  uint64_t total_visits = 0;
-  bool any_exhausted = false;
-  for (const DiscoveryUnit& unit : units_) {
-    total_visits += unit.visits;
-    any_exhausted |= unit.budget_exhausted;
-  }
-  if (aborted()) {
-    // Work accounting is merged even when the phase aborted, so partial
-    // stats stay truthful.
-    join_work_ += total_visits;
-    if (any_exhausted) *capped = true;
-    return false;
-  }
-  if (!any_exhausted && total_visits < join_budget) {
-    // Every unit ran to completion within the cumulative join budget, so
-    // the merge sees exactly the rows a cumulative unit-by-unit pass
-    // would produce.
-    join_work_ += total_visits;
-    PhaseScope merge_scope(Phase::kChaseDiscoveryMerge);
-    for (const DiscoveryUnit& unit : units_) {
-      if (merge(unit)) {
-        *capped = true;
-        break;
-      }
-    }
-    return true;
-  }
-
-  // A cap bound somewhere. Where it stops a cumulative pass depends on
-  // what the earlier units spent, which per-unit results run against the
-  // round-start budgets cannot tell; so the round reruns inline, unit by
-  // unit, each unit granted only what its predecessors left and merged
-  // before the next one runs. The rerun is independent of the thread
-  // count, so capped runs stay bit-identical across discovery_threads; a
-  // capped round is terminal, so this costs at most one extra pass per
-  // run. Its merge scope also covers the units it reruns (their own unit
-  // scopes time them separately).
-  PhaseScope merge_scope(Phase::kChaseDiscoveryMerge);
-  draft->parallel_discovery = false;
-  draft->fallback_units = 0;
-  draft->binding_rows = 0;
   for (uint64_t u = 0; u < units_.size(); ++u) {
-    run_unit(u, remaining(options_.max_join_work, join_work_),
-             remaining(options_.max_hom_discoveries, hom_discoveries_));
-    join_work_ += units_[u].visits;
-    if (aborted()) {
-      if (units_[u].budget_exhausted) *capped = true;
+    DiscoveryUnit& unit = units_[u];
+    if (GovernorStop(FaultSite::kDiscovery, u, stop_outcome)) {
+      pending_.clear();
       return false;
     }
-    if (merge(units_[u]) || units_[u].budget_exhausted) {
+    {
+      PhaseScope unit_scope(Phase::kChaseDiscoveryUnit);
+      const uint64_t found_cap =
+          remaining(options_.max_hom_discoveries, hom_discoveries_);
+      unit.search.watermark = watermark;
+      unit.search.max_candidate_visits =
+          remaining(options_.max_join_work, join_work_);
+      unit.visits = 0;
+      unit.budget_exhausted = false;
+      unit.governor_tripped = false;
+      unit.rows.Clear();
+      const Tgd& rule = rules_.rule(unit.rule);
+      HomomorphismFinder(instance_).FindAllWithOptions(
+          rule.body(), rule.num_variables(), unit.search, Binding(),
+          [&unit, found_cap](const Binding& binding) {
+            unit.rows.AppendRow(binding.data());
+            if (unit.rows.rows() >= found_cap) {
+              unit.budget_exhausted = true;
+              return false;
+            }
+            return true;
+          });
+    }
+    // Work accounting is kept even when the unit aborted, so partial
+    // stats stay truthful.
+    join_work_ += unit.visits;
+    if (unit.governor_tripped) {
+      *stop_outcome = OutcomeOf(governor_.Check());
+      pending_.clear();
+      return false;
+    }
+    PhaseScope merge_scope(Phase::kChaseDiscoveryMerge);
+    if (MergeUnit(unit, draft) || unit.budget_exhausted) {
       *capped = true;
       break;
     }
@@ -562,7 +445,6 @@ bool ChaseRun::ExecuteRound(AtomId* watermark, const AtomObserver& observer,
   ++rounds_;
   draft.delta_atoms = frontier_end - *watermark;
   draft.candidates = pending_.size();
-  if (draft.parallel_discovery) ++stats_.parallel_rounds;
   stats_.per_round.push_back(draft);
   RoundStats& round = stats_.per_round.back();
 
@@ -665,7 +547,6 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
       registry != nullptr ? *registry : MetricsRegistry::Global();
   sink.Counter("chase.runs")->Increment();
   sink.Counter("chase.rounds")->Add(stats.per_round.size());
-  sink.Counter("chase.parallel_rounds")->Add(stats.parallel_rounds);
   uint64_t discovered = 0, applied = 0, skipped = 0;
   for (const RuleStats& rule : stats.per_rule) {
     discovered += rule.discovered;
@@ -675,15 +556,10 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   sink.Counter("chase.triggers_discovered")->Add(discovered);
   sink.Counter("chase.triggers_applied")->Add(applied);
   sink.Counter("chase.triggers_skipped_satisfied")->Add(skipped);
-  uint64_t estimated_work = 0;
   uint64_t discovery_us = 0, apply_us = 0, round_us = 0;
   uint64_t batched_triggers = 0, batch_blocks = 0;
   uint64_t units = 0, binding_rows = 0;
-  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   for (const RoundStats& round : stats.per_round) {
-    estimated_work = round.estimated_work > kMax - estimated_work
-                         ? kMax
-                         : estimated_work + round.estimated_work;
     discovery_us += static_cast<uint64_t>(round.discovery_seconds * 1e6);
     apply_us += static_cast<uint64_t>(round.apply_seconds * 1e6);
     round_us += static_cast<uint64_t>(round.total_seconds * 1e6);
@@ -696,7 +572,6 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   // real — fold it in, or chase.discovery_us undercounts every run by one
   // pass.
   discovery_us += static_cast<uint64_t>(stats.final_discovery_seconds * 1e6);
-  sink.Counter("chase.estimated_work")->Add(estimated_work);
   sink.Counter("chase.discovery_us")->Add(discovery_us);
   sink.Counter("chase.apply_us")->Add(apply_us);
   sink.Counter("chase.round_us")->Add(round_us);
@@ -704,8 +579,6 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   sink.Counter("chase.batch_blocks")->Add(batch_blocks);
   sink.Counter("chase.discovery_units")->Add(units);
   sink.Counter("chase.discovery_binding_rows")->Add(binding_rows);
-  sink.Gauge("chase.discovery_threads")
-      ->SetMax(static_cast<int64_t>(stats.discovery_threads));
   sink.Gauge("chase.peak_atoms")
       ->SetMax(static_cast<int64_t>(stats.peak_atoms));
   sink.Gauge("chase.peak_position_index_keys")

@@ -12,7 +12,6 @@
 
 #include "base/governor.h"
 #include "base/status.h"
-#include "base/thread_pool.h"
 #include "chase/batch_apply.h"
 #include "chase/trigger_keys.h"
 #include "model/tgd.h"
@@ -65,8 +64,7 @@ enum class FaultSite {
                   ///< kMemoryBudget here exercises every byte-budget stop
                   ///< path without an actual multi-megabyte instance. The
                   ///< ordinal sequence does not depend on when the apply
-                  ///< phase flushes its staged head atoms, nor on the
-                  ///< discovery thread count.
+                  ///< phase flushes its staged head atoms.
 };
 
 /// What a fault injector forces at a checkpoint.
@@ -83,8 +81,7 @@ enum class InjectedFault {
 /// the corresponding outcome. This makes every abort path reachable
 /// deterministically — no timing games — so tests can pin down exactly
 /// which round / trigger / discovery unit a run died at. The injector is
-/// called concurrently from parallel-discovery workers and must be
-/// thread-safe (capture atomics, not plain counters).
+/// called on the thread running the chase, in checkpoint order.
 using FaultInjector = std::function<InjectedFault(FaultSite, uint64_t)>;
 
 /// Resource caps and feature toggles for one chase execution.
@@ -94,27 +91,10 @@ struct ChaseOptions {
   TriggerOrder order = TriggerOrder::kFifo;
   /// Seed for TriggerOrder::kRandom.
   uint64_t order_seed = 0;
-  /// Worker threads for the trigger-discovery phase. 1 (the default) runs
-  /// the round's (rule, pivot) discovery units inline; n > 1 shards them
-  /// over n threads. Either way the units' rows merge in unit order, so
-  /// every value produces bit-identical instances and trigger sequences.
-  /// Trigger *application* is always serial (it mutates the instance), so
-  /// restricted-chase order sensitivity is unaffected.
+  /// Unused: discovery is serial. Kept only because the frozen benchmark
+  /// (perfbench/) sets it; remove it at the next benchmark change. A run
+  /// checks that it is at most 1 and otherwise never reads it.
   uint32_t discovery_threads = 1;
-  /// Persistent executor for the discovery fan-out. When set, the run
-  /// wakes this pool's parked workers each parallel round instead of
-  /// spawning threads; the pool may be shared across consecutive runs
-  /// (the restricted-probe driver does this). When unset and
-  /// discovery_threads > 1, the run creates a private pool for its
-  /// lifetime. The pool's worker count caps the effective parallelism.
-  std::shared_ptr<ThreadPool> executor;
-  /// Adaptive serial/parallel cutover: a round whose estimated join work
-  /// (delta cardinality x candidate fan-out, summed over discovery
-  /// units) falls below this threshold runs its units inline even when
-  /// discovery_threads > 1 — waking workers for a handful of probes
-  /// costs more than the probes. 0 disables the cutover (always
-  /// parallel). Results are bit-identical either way.
-  uint64_t parallel_cutover_work = uint64_t{1} << 15;
   /// Cap on applied triggers (chase steps).
   uint64_t max_steps = std::numeric_limits<uint64_t>::max();
   /// Cap on total atoms in the instance.
@@ -151,7 +131,7 @@ struct ChaseOptions {
   uint64_t max_memory_bytes = 0;
   /// Externally owned budget to charge instead of a private one built
   /// from max_memory_bytes (which is then ignored). Lets sequential
-  /// phases (the decider cascade) or concurrent runs share one
+  /// phases (the decider cascade) or runs on other threads share one
   /// admission-controlled pool; the run charges its retained bytes on
   /// growth and releases them when its storage dies.
   std::shared_ptr<MemoryBudget> memory_budget;
@@ -254,8 +234,6 @@ struct RoundStats {
   /// start to apply end — also covering the reorder/reserve work between
   /// the phases, which the two phase timers alone leave invisible.
   double total_seconds = 0.0;
-  uint64_t estimated_work = 0;     ///< Join-work estimate driving cutover.
-  bool parallel_discovery = false; ///< Round's units ran on the pool.
   /// Triggers applied through the set-at-a-time apply path this round.
   /// There is only one apply path, so this always equals `applied`.
   uint64_t batched_triggers = 0;
@@ -288,8 +266,10 @@ struct ChaseStats {
   uint64_t peak_position_index_keys = 0;     ///< Distinct (pred,pos,term) keys.
   uint64_t peak_position_index_entries = 0;  ///< Total posting-list entries.
   uint64_t peak_dedup_keys = 0;              ///< Applied trigger keys.
-  uint32_t discovery_threads = 1;            ///< Effective worker count.
-  uint64_t parallel_rounds = 0;              ///< Rounds using the pool.
+  /// Always 0: discovery is serial. Kept, like RoundStats::plan_units,
+  /// because the frozen benchmark (perfbench/) reads it; remove it at the
+  /// next benchmark change.
+  uint64_t parallel_rounds = 0;
   /// Wall time of terminal discovery passes that produced no per-round
   /// entry — the empty pass that proves termination, or an aborted one.
   /// Kept separate from per_round so round timings still sum to round
@@ -460,8 +440,6 @@ class ChaseRun {
 
   /// True if the run must stop here: consults the fault injector (when
   /// set) and then the governor, writing the abort outcome to *outcome.
-  /// Pure (no member writes) so parallel workers may call it, provided
-  /// any fault injector is thread-safe.
   bool GovernorStop(FaultSite site, uint64_t ordinal,
                     ChaseOutcome* outcome) const;
 
@@ -484,27 +462,21 @@ class ChaseRun {
   /// One round of semi-naive trigger discovery into pending_: every
   /// homomorphism whose image touches an atom with id >= `watermark`,
   /// deduplicated through trigger_keys_, in deterministic (rule, pivot,
-  /// discovery) order. Each unit in units_ runs the backtracking search
-  /// into its segment, inline or on the pool per discovery_threads; the
-  /// rows then merge in unit order. Fills the discovery fields of
-  /// `draft` (estimated_work, parallel_discovery, fallback_units,
-  /// binding_rows). Sets *capped when a discovery cap was hit (results
-  /// may then be incomplete). Returns false, with *stop_outcome set and
-  /// pending_ empty, when the governor or fault injector tripped
-  /// mid-phase.
+  /// discovery) order. The units in units_ run one at a time, in unit
+  /// order: each runs the backtracking search into its segment with the
+  /// join budget and hom headroom its predecessors left, and its rows
+  /// merge before the next unit runs. Fills the discovery fields of
+  /// `draft` (fallback_units, binding_rows). Sets *capped when a
+  /// discovery cap was hit (results may then be incomplete). Returns
+  /// false, with *stop_outcome set and pending_ empty, when the governor
+  /// or fault injector tripped mid-phase.
   bool DiscoverTriggers(AtomId watermark, RoundStats* draft, bool* capped,
                         ChaseOutcome* stop_outcome);
 
-  /// Estimated join work for this round's discovery pass: for each
-  /// (rule, pivot) unit, delta cardinality of the pivot predicate times
-  /// the largest other-conjunct relation (its candidate fan-out),
-  /// saturating at uint64 max. Cheap — two index lookups per unit — and
-  /// feeds the serial/parallel cutover.
-  uint64_t EstimateDiscoveryWork(AtomId watermark) const;
-
-  /// The executor for parallel rounds: options_.executor if provided,
-  /// else a lazily created pool owned by this run.
-  ThreadPool* Pool(uint32_t num_threads);
+  /// Merges one unit's rows into pending_ in enumeration order,
+  /// deduplicated through the rule's trigger-key table, and counts them
+  /// in `draft`. Returns true when the step or hom cap stopped it.
+  bool MergeUnit(const DiscoveryUnit& unit, RoundStats* draft);
 
   /// Folds current index sizes into the stats peaks.
   void UpdateStatsPeaks();
@@ -516,8 +488,8 @@ class ChaseRun {
   /// raw observer pointer, and the instance / batch block release their
   /// charges into it on destruction.
   std::shared_ptr<MemoryBudget> memory_budget_;
-  /// Deadline + cancellation bundle, shared read-only with discovery
-  /// workers and join searches.
+  /// Deadline + cancellation bundle, shared read-only with the join
+  /// searches.
   RunGovernor governor_;
   Instance instance_;
   std::vector<AtomProvenance> provenance_;
@@ -525,11 +497,6 @@ class ChaseRun {
 
   /// Discovered trigger keys, one table per rule (see TriggerKeyTable).
   std::vector<TriggerKeyTable> trigger_keys_;
-
-  /// Lazily created pool for parallel discovery when the caller did not
-  /// supply ChaseOptions::executor. Lives for the rest of the run so
-  /// every parallel round reuses the same parked workers.
-  std::shared_ptr<ThreadPool> owned_pool_;
 
   /// The run's (rule, pivot) discovery units, in unit order. Sized once
   /// and never moved: each unit's search points at its own out-flags.
@@ -545,8 +512,7 @@ class ChaseRun {
   /// Head-satisfaction checks performed (the kHeadCheck fault ordinal).
   uint64_t head_checks_ = 0;
   /// Storage-growth decision points passed (the kAllocation fault
-  /// ordinal). Serial: bumped only on the apply thread and at round
-  /// starts.
+  /// ordinal).
   uint64_t alloc_checks_ = 0;
   /// Reused scratch: the apply phase and head checks run allocation-free
   /// once these have warmed to the run's working sizes.
@@ -589,8 +555,7 @@ class MetricsRegistry;
 
 /// Folds one run's ChaseStats into the metrics registry (the global one
 /// when `registry` is null) under the "chase." prefix: run/round/trigger
-/// counters — including the parallel-engine fields parallel_rounds and
-/// per-round estimated_work — plus peak gauges. Counters accumulate
+/// and discovery-unit counters plus peak gauges. Counters accumulate
 /// across runs; peak gauges fold a process-wide maximum.
 void PublishChaseMetrics(const ChaseStats& stats,
                          MetricsRegistry* registry = nullptr);

@@ -1,6 +1,5 @@
 #include "fuzz/oracles.h"
 
-#include <atomic>
 #include <limits>
 #include <memory>
 #include <string>
@@ -22,7 +21,7 @@ namespace {
 
 constexpr const char* kOracleNames[kNumOracles] = {
     "variant-containment",  "decider-vs-probe", "syntactic-vs-decider",
-    "parallel-determinism", "io-round-trip",    "order-equivalence",
+    "reference-twin",       "io-round-trip",    "order-equivalence",
     "memory-cap-twin",
 };
 
@@ -185,13 +184,12 @@ std::optional<bool> MapsInto(const Instance& from, const Instance& to,
 
 /// Bit-identity comparison for two runs of the same (Σ, D, options):
 /// same outcome, same counters, same per-rule and per-round stats, same
-/// instance atom for atom, id for id. join_work is compared only when
-/// both runs metered it (the reference chase does not). Returns a
-/// non-empty diff description on mismatch, "" when identical (or when a
-/// wall-clock abort made the pair incomparable — deterministic abort
-/// regimes are pinned by the fault-injection tests instead).
-std::string TwinDiff(const ChaseResult& left, const ChaseResult& right,
-                     bool compare_join_work) {
+/// instance atom for atom, id for id. join_work is not compared: the
+/// reference chase does not meter it. Returns a non-empty diff
+/// description on mismatch, "" when identical (or when a wall-clock
+/// abort made the pair incomparable — deterministic abort regimes are
+/// pinned by the fault-injection tests instead).
+std::string TwinDiff(const ChaseResult& left, const ChaseResult& right) {
   if (Aborted(left.outcome) || Aborted(right.outcome)) return "";
   if (left.outcome != right.outcome) {
     return std::string("outcome ") + ChaseOutcomeName(left.outcome) + " vs " +
@@ -200,8 +198,7 @@ std::string TwinDiff(const ChaseResult& left, const ChaseResult& right,
   if (left.applied_triggers != right.applied_triggers ||
       left.rounds != right.rounds ||
       left.nulls_created != right.nulls_created ||
-      left.hom_discoveries != right.hom_discoveries ||
-      (compare_join_work && left.join_work != right.join_work)) {
+      left.hom_discoveries != right.hom_discoveries) {
     return "run counters differ (applied " +
            std::to_string(left.applied_triggers) + " vs " +
            std::to_string(right.applied_triggers) + ", rounds " +
@@ -210,9 +207,7 @@ std::string TwinDiff(const ChaseResult& left, const ChaseResult& right,
            std::to_string(left.nulls_created) + " vs " +
            std::to_string(right.nulls_created) + ", homs " +
            std::to_string(left.hom_discoveries) + " vs " +
-           std::to_string(right.hom_discoveries) + ", join work " +
-           std::to_string(left.join_work) + " vs " +
-           std::to_string(right.join_work) + ")";
+           std::to_string(right.hom_discoveries) + ")";
   }
   for (std::size_t r = 0; r < left.stats.per_rule.size(); ++r) {
     const RuleStats& a = left.stats.per_rule[r];
@@ -249,7 +244,7 @@ std::string ReferenceTwinDiff(const FuzzCase& fuzz_case,
       RunChase(fuzz_case.rules, chase_options, fuzz_case.database);
   ChaseResult reference =
       RunReferenceChase(fuzz_case.rules, chase_options, fuzz_case.database);
-  return TwinDiff(engine, reference, /*compare_join_work=*/false);
+  return TwinDiff(engine, reference);
 }
 
 /// ReferenceTwinDiff across cap regimes: the options as given plus
@@ -496,74 +491,22 @@ OracleResult CheckSyntacticVsDecider(const FuzzCase& fuzz_case,
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 4: parallel trigger discovery ≡ serial, bit for bit.
+// Oracle 4: the engine ≡ the reference chase, bit for bit.
 // ---------------------------------------------------------------------------
-OracleResult CheckParallelDeterminism(const FuzzCase& fuzz_case,
-                                      const OracleOptions& options) {
-  ChaseOptions serial = BoundedOptions(ChaseVariant::kRestricted, options);
-  ChaseResult base = RunChase(fuzz_case.rules, serial, fuzz_case.database);
+OracleResult CheckReferenceTwin(const FuzzCase& fuzz_case,
+                                const OracleOptions& options) {
+  ChaseOptions engine = BoundedOptions(ChaseVariant::kRestricted, options);
+  ChaseResult base = RunChase(fuzz_case.rules, engine, fuzz_case.database);
   if (Aborted(base.outcome)) {
-    return Inconclusive("serial run aborted by governor");
+    return Inconclusive("engine run aborted by governor");
   }
-  // Pin the serial engine against the reference chase, across cap
-  // regimes, before comparing thread counts — a parallel run compared
-  // against a drifting serial baseline proves nothing.
   const std::string reference_diff =
-      ReferenceTwinDiffAllRegimes(fuzz_case, serial, base);
+      ReferenceTwinDiffAllRegimes(fuzz_case, engine, base);
   if (!reference_diff.empty()) {
     return Violation(
-        "the engine is not bit-identical to the reference chase (serial, "
-        "restricted): " +
+        "the engine is not bit-identical to the reference chase "
+        "(restricted): " +
         reference_diff);
-  }
-  for (uint32_t threads : options.thread_counts) {
-    ChaseOptions parallel = serial;
-    parallel.discovery_threads = threads;
-    parallel.parallel_cutover_work = 0;  // force the parallel engine
-    ChaseResult run = RunChase(fuzz_case.rules, parallel, fuzz_case.database);
-    if (Aborted(run.outcome)) {
-      return Inconclusive("parallel run aborted by governor");
-    }
-    std::string why;
-    if (run.outcome != base.outcome ||
-        run.applied_triggers != base.applied_triggers ||
-        run.rounds != base.rounds || run.nulls_created != base.nulls_created) {
-      why = "run counters differ";
-    } else {
-      InstancesIdentical(base.instance, run.instance, &why);
-    }
-    if (!why.empty()) {
-      return Violation("parallel discovery at " + std::to_string(threads) +
-                       " threads is not bit-identical to serial: " + why);
-    }
-    // Against the reference as well — the merge order and the capped
-    // rerun must not depend on the thread count.
-    const std::string parallel_diff = ReferenceTwinDiff(fuzz_case, parallel);
-    if (!parallel_diff.empty()) {
-      return Violation("the engine at " + std::to_string(threads) +
-                       " threads is not bit-identical to the reference "
-                       "chase: " +
-                       parallel_diff);
-    }
-    // The reference meters no join work, so a join-work-capped run is
-    // pinned against the one engine at one thread instead, join_work
-    // included.
-    if (base.join_work > 1) {
-      ChaseOptions tight = serial;
-      tight.max_join_work = base.join_work / 2;
-      ChaseResult one = RunChase(fuzz_case.rules, tight, fuzz_case.database);
-      tight.discovery_threads = threads;
-      tight.parallel_cutover_work = 0;
-      ChaseResult many = RunChase(fuzz_case.rules, tight, fuzz_case.database);
-      const std::string capped_diff =
-          TwinDiff(one, many, /*compare_join_work=*/true);
-      if (!capped_diff.empty()) {
-        return Violation("join-work-capped discovery at " +
-                         std::to_string(threads) +
-                         " threads is not bit-identical to 1 thread: " +
-                         capped_diff);
-      }
-    }
   }
   return Pass();
 }
@@ -715,17 +658,6 @@ OracleResult CheckOrderEquivalence(const FuzzCase& fuzz_case,
 // ---------------------------------------------------------------------------
 OracleResult CheckMemoryCapTwin(const FuzzCase& fuzz_case,
                                 const OracleOptions& options) {
-  struct Engine {
-    const char* name;
-    uint32_t threads;
-  };
-  // kAllocation ordinals do not depend on the thread count, so the same
-  // target ordinal must stop both at the same committed prefix.
-  const Engine engines[2] = {
-      {"serial", 1},
-      {"parallel", 2},
-  };
-
   bool inconclusive = false;
   std::string inconclusive_why;
   for (ChaseVariant variant :
@@ -755,58 +687,52 @@ OracleResult CheckMemoryCapTwin(const FuzzCase& fuzz_case,
       for (uint64_t t : targets) seen = seen || t == probe;
       if (!seen) targets.push_back(probe);
     }
-    for (const Engine& engine : engines) {
-      for (uint64_t target : targets) {
-        auto fired = std::make_shared<std::atomic<bool>>(false);
-        ChaseOptions capped = base_options;
-        capped.discovery_threads = engine.threads;
-        if (engine.threads > 1) capped.parallel_cutover_work = 0;
-        capped.fault_injector = [fired, target](FaultSite site,
-                                                uint64_t ordinal) {
-          if (site == FaultSite::kAllocation && ordinal == target) {
-            fired->store(true, std::memory_order_relaxed);
-            return InjectedFault::kMemoryBudget;
-          }
-          return InjectedFault::kNone;
-        };
-        ChaseResult run =
-            RunChase(fuzz_case.rules, capped, fuzz_case.database);
-        const std::string where = std::string(variant_name) + ", " +
-                                  engine.name + ", ordinal " +
-                                  std::to_string(target);
-        if (Aborted(run.outcome)) {
-          inconclusive = true;
-          inconclusive_why = "capped run aborted by governor (" + where + ")";
-          continue;
+    for (uint64_t target : targets) {
+      bool fired = false;
+      ChaseOptions capped = base_options;
+      capped.fault_injector = [&fired, target](FaultSite site,
+                                               uint64_t ordinal) {
+        if (site == FaultSite::kAllocation && ordinal == target) {
+          fired = true;
+          return InjectedFault::kMemoryBudget;
         }
-        std::string why;
-        if (fired->load(std::memory_order_relaxed)) {
-          if (run.outcome != ChaseOutcome::kMemoryBudgetExceeded) {
-            return Violation("injected memory-budget fault (" + where +
-                             ") yielded outcome " +
-                             ChaseOutcomeName(run.outcome) +
-                             " instead of memory-budget-exceeded");
-          }
-          if (!InstanceIsPrefix(run.instance, base.instance, &why)) {
-            return Violation(
-                "memory-stopped instance is not a bit-exact prefix of the "
-                "base run (" + where + "): " + why);
-          }
-        } else {
-          if (run.outcome != base.outcome ||
-              run.applied_triggers != base.applied_triggers) {
-            return Violation(
-                "an injector that never fired perturbed the run (" + where +
-                "): outcome " + ChaseOutcomeName(run.outcome) + " vs " +
-                ChaseOutcomeName(base.outcome) + ", applied " +
-                std::to_string(run.applied_triggers) + " vs " +
-                std::to_string(base.applied_triggers));
-          }
-          if (!InstancesIdentical(run.instance, base.instance, &why)) {
-            return Violation(
-                "an injector that never fired changed the instance (" +
-                where + "): " + why);
-          }
+        return InjectedFault::kNone;
+      };
+      ChaseResult run = RunChase(fuzz_case.rules, capped, fuzz_case.database);
+      const std::string where =
+          std::string(variant_name) + ", ordinal " + std::to_string(target);
+      if (Aborted(run.outcome)) {
+        inconclusive = true;
+        inconclusive_why = "capped run aborted by governor (" + where + ")";
+        continue;
+      }
+      std::string why;
+      if (fired) {
+        if (run.outcome != ChaseOutcome::kMemoryBudgetExceeded) {
+          return Violation("injected memory-budget fault (" + where +
+                           ") yielded outcome " +
+                           ChaseOutcomeName(run.outcome) +
+                           " instead of memory-budget-exceeded");
+        }
+        if (!InstanceIsPrefix(run.instance, base.instance, &why)) {
+          return Violation(
+              "memory-stopped instance is not a bit-exact prefix of the "
+              "base run (" + where + "): " + why);
+        }
+      } else {
+        if (run.outcome != base.outcome ||
+            run.applied_triggers != base.applied_triggers) {
+          return Violation(
+              "an injector that never fired perturbed the run (" + where +
+              "): outcome " + ChaseOutcomeName(run.outcome) + " vs " +
+              ChaseOutcomeName(base.outcome) + ", applied " +
+              std::to_string(run.applied_triggers) + " vs " +
+              std::to_string(base.applied_triggers));
+        }
+        if (!InstancesIdentical(run.instance, base.instance, &why)) {
+          return Violation(
+              "an injector that never fired changed the instance (" + where +
+              "): " + why);
         }
       }
     }
@@ -901,8 +827,8 @@ OracleResult RunOracle(OracleId oracle, const FuzzCase& fuzz_case,
       return CheckDeciderVsProbe(fuzz_case, options);
     case OracleId::kSyntacticVsDecider:
       return CheckSyntacticVsDecider(fuzz_case, options);
-    case OracleId::kParallelDeterminism:
-      return CheckParallelDeterminism(fuzz_case, options);
+    case OracleId::kReferenceTwin:
+      return CheckReferenceTwin(fuzz_case, options);
     case OracleId::kIoRoundTrip:
       return CheckIoRoundTrip(fuzz_case, options);
     case OracleId::kOrderEquivalence:

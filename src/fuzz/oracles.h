@@ -37,10 +37,8 @@ enum class OracleId : uint32_t {
   /// chase (fuzz/reference_chase.h) — same outcome, instance atom by atom,
   /// counters, per-rule and per-round stats — uncapped and under
   /// step/atom/null/hom cap regimes tightened around the base run's own
-  /// footprint, at one thread and at every parallel thread count.
-  /// Join-work-capped runs, which the reference does not meter, must be
-  /// bit-identical across thread counts, join_work included.
-  kParallelDeterminism = 3,
+  /// footprint.
+  kReferenceTwin = 3,
   /// Engine metamorphic: a chase result round-trips through storage/io
   /// (write → parse → atom-for-atom correspondence, nulls mapped to
   /// their reserved '_:n' constants).
@@ -53,9 +51,9 @@ enum class OracleId : uint32_t {
   kOrderEquivalence = 5,
   /// Engine metamorphic: memory governance never corrupts a run. Per
   /// variant, against an uncapped base run: (a) an injected memory-budget
-  /// fault at sampled kAllocation ordinals — serial and parallel — stops the
-  /// run with kMemoryBudgetExceeded and an instance that is a bit-exact
-  /// prefix of the base (ordinals past the run's last checkpoint must
+  /// fault at sampled kAllocation ordinals stops the run with
+  /// kMemoryBudgetExceeded and an instance that is a bit-exact prefix of
+  /// the base (ordinals past the run's last checkpoint must
   /// leave it identical to the base instead); (b) a run under a real byte
   /// budget of half the base run's peak either still terminates
   /// identically or stops on the budget with a bit-exact prefix.
@@ -102,9 +100,6 @@ struct OracleOptions {
   /// Cap on candidate visits per homomorphic-equivalence search (CQ
   /// evaluation is exponential in the worst case).
   uint64_t max_equivalence_visits = 1ull << 22;
-  /// Thread counts the parallel-determinism oracle compares against the
-  /// serial engine.
-  std::vector<uint32_t> thread_counts = {2, 4};
   /// Wall-clock budget for the whole evaluation; sliced internally
   /// across the oracle's runs. Expiry ⇒ kInconclusive.
   Deadline deadline;

@@ -24,8 +24,8 @@ namespace gchase {
 /// may observe a torn-but-valid state under concurrent recording, which
 /// is fine for an observability snapshot.
 ///
-/// This header is std-only on purpose: base/ headers (thread_pool.h)
-/// include obs/ headers, so obs/ must never include base/ back.
+/// This header is std-only on purpose, like the rest of obs/, so any
+/// layer can include it without a library cycle.
 class MetricHistogram {
  public:
   /// Linear sub-buckets per power-of-two octave (16 => 1/16 relative

@@ -53,7 +53,7 @@ class MetricGauge {
 /// ForestStats, fuzz-runner tallies and ad-hoc bench counters.
 ///
 /// Naming convention (docs/observability.md): dotted lowercase paths,
-/// `<layer>.<metric>` — e.g. "chase.rounds", "pool.steals",
+/// `<layer>.<metric>` — e.g. "chase.rounds", "chase.discovery_units",
 /// "fuzz.oracle.io-round-trip.passes". Counters count events forever
 /// (monotonic); gauges hold levels or peaks.
 class MetricsRegistry {

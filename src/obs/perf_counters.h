@@ -13,7 +13,7 @@ namespace gchase {
 /// may nest across layers (a dedup growth inside an apply flush counts
 /// toward both) — attribution is per enclosing scope, not exclusive.
 enum class PerfPhase : int {
-  kDiscovery = 0,   ///< Trigger discovery (inline or on the pool).
+  kDiscovery = 0,   ///< Trigger discovery.
   kApply = 1,       ///< Batched trigger application / instance inserts.
   kDedupGrowth = 2, ///< Dedup hash-table rehash/growth in storage.
   kDecider = 3,     ///< Termination analyses (exact and probe).

@@ -36,8 +36,6 @@ struct PhaseRow {
   ROW(kChaseApply, "chase.apply", kChase, true, PerfPhase::kApply, "chase.apply_ns") \
   ROW(kChaseBatchFlush, "chase.batch_flush", kChase, true, {}, "chase.batch_flush_ns") \
   ROW(kChaseHeadCheck, "chase.head_check", kChase, false, {}, "chase.head_check_ns") \
-  ROW(kPoolJob, "pool.job", kPool, true, {}, "pool.job_ns") \
-  ROW(kPoolRun, "pool.run", kPool, true, {}, nullptr) \
   ROW(kStorageReserve, "storage.reserve", kStorage, true, {}, nullptr) \
   ROW(kStorageGrowDedup, "storage.grow_dedup", kStorage, true, PerfPhase::kDedupGrowth, "storage.dedup_grow_ns") \
   ROW(kStorageBulkLoadCsv, "storage.bulk_load_csv", kStorage, true, PerfPhase::kLoad, nullptr) \

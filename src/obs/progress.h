@@ -47,8 +47,8 @@ inline bool ProgressEnabled() {
 /// flush-on-every-exit-path discipline.
 ///
 /// Environment context (memory budget, deadline) comes in as optional
-/// callbacks so this header stays std-only (obs/ must not depend on
-/// base/ — base/thread_pool.h includes obs headers).
+/// callbacks so this header stays std-only (obs/ does not depend on
+/// base/).
 class ProgressReporter {
  public:
   enum class Mode {

@@ -13,12 +13,14 @@ namespace gchase {
 
 /// Event categories, one bit each, filterable at runtime through the
 /// tracer's category mask (and from the CLIs via --trace-categories).
-/// This header is deliberately self-contained (std only): base/ headers
-/// include it — thread_pool.h traces its scheduler — so it must not
-/// depend back on base/.
+/// This header is deliberately self-contained (std only), so any layer
+/// can include it without a library cycle.
 enum class TraceCategory : uint32_t {
   kChase = 1u << 0,    ///< Chase round lifecycle: discovery, apply, rules.
-  kPool = 1u << 1,     ///< Thread-pool scheduler: jobs, chunks, steals, parks.
+  /// No code emits it (discovery is serial). Kept only because the frozen
+  /// benchmark (perfbench/) enables it; remove it at the next benchmark
+  /// change.
+  kPool = 1u << 1,
   kDecider = 1u << 2,  ///< Termination analyses: critical instance, MFA,
                        ///< exact/probe cascade, restricted-probe rounds.
   kStorage = 1u << 3,  ///< Instance index growth and bulk reservations.
@@ -165,8 +167,7 @@ class TraceBuffer {
 /// and are read with Collect(), so an aborted run (deadline, SIGINT)
 /// still flushes everything it recorded. Start() and Stop() must be
 /// called from quiescent points — no thread concurrently inside a span —
-/// which holds at every call site (CLI startup/exit, test boundaries;
-/// parked pool workers record nothing).
+/// which holds at every call site (CLI startup/exit, test boundaries).
 class Tracer {
  public:
   struct Config {

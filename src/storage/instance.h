@@ -67,9 +67,8 @@ inline PostingView ClipPostings(const std::vector<AtomId>& ids,
 ///
 /// Thread-safety contract: all const members are safe to call from any
 /// number of threads concurrently as long as no thread is mutating (there
-/// are no mutable caches and no lazily built indexes). The chase's
-/// parallel trigger-discovery phase relies on exactly this: workers share
-/// one read-only Instance between mutation-free phases.
+/// are no mutable caches and no lazily built indexes), so a finished
+/// instance can be read from several threads at once.
 ///
 /// Invalidation contract: AtomViews, TermSpans and posting-list
 /// references borrow from the instance's internal arrays and are

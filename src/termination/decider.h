@@ -50,9 +50,9 @@ struct DeciderOptions {
   uint64_t max_hom_discoveries = 1ull << 24;
   /// Cap on join-search work (see ChaseOptions::max_join_work).
   uint64_t max_join_work = 1ull << 28;
-  /// Worker threads for the exploratory chase's trigger-discovery phase
-  /// (see ChaseOptions::discovery_threads). The decider's verdict is
-  /// thread-count-invariant: discovery is merged deterministically.
+  /// Unused: the exploratory chase discovers serially. Kept only because
+  /// the frozen benchmark (perfbench/) sets it; remove it at the next
+  /// benchmark change. Never forwarded to the chase.
   uint32_t discovery_threads = 1;
   /// Byte budget for the exploratory chase's retained storage (see
   /// ChaseOptions::max_memory_bytes; 0 = unlimited). A memory trip

@@ -18,10 +18,8 @@ ChaseOutcome RunOnce(const RuleSet& rules, const std::vector<Atom>& database,
   chase_options.max_steps = options.max_steps;
   chase_options.max_hom_discoveries = options.max_hom_discoveries;
   chase_options.max_join_work = options.max_join_work;
-  chase_options.discovery_threads = options.discovery_threads;
   chase_options.max_memory_bytes = options.max_memory_bytes;
   chase_options.memory_budget = options.memory_budget;
-  chase_options.executor = options.executor;
   chase_options.deadline = options.deadline;
   chase_options.cancel = options.cancel;
   return RunChase(rules, chase_options, database).outcome;
@@ -63,38 +61,21 @@ StatusOr<RestrictedProbeResult> ProbeRestrictedTermination(
         return false;
     }
   };
-  // Enumerate the sampled runs up front so the fan-out and the serial
-  // path walk the same list. No run depends on another and none is ever
-  // skipped (aborted runs still tally), so executing them concurrently
-  // and tallying in list order below reproduces the serial probe exactly.
-  struct ProbeRun {
-    TriggerOrder order;
-    uint64_t seed;
+  // The sampled runs, in list order: fifo, datalog-first, then the
+  // seeded random orders. None is ever skipped (aborted runs still tally).
+  uint64_t round = 0;
+  const auto run = [&](TriggerOrder order, uint64_t seed) {
+    PhaseScope probe_round(Phase::kDeciderProbeRound, round++);
+    return RunOnce(rules, facts, options, order, seed);
   };
-  std::vector<ProbeRun> runs;
-  runs.push_back(ProbeRun{TriggerOrder::kFifo, 0});
-  runs.push_back(ProbeRun{TriggerOrder::kDatalogFirst, 0});
+  result.fifo_terminated = tally(run(TriggerOrder::kFifo, 0));
+  result.datalog_first_terminated = tally(run(TriggerOrder::kDatalogFirst, 0));
   for (uint32_t i = 0; i < options.num_random_orders; ++i) {
-    runs.push_back(
-        ProbeRun{TriggerOrder::kRandom, options.seed + i * 0x9e3779b9u});
-  }
-  std::vector<ChaseOutcome> outcomes(runs.size(), ChaseOutcome::kTerminated);
-  auto execute = [&](uint64_t i) {
-    PhaseScope probe_round(Phase::kDeciderProbeRound, i);
-    outcomes[i] =
-        RunOnce(rules, facts, options, runs[i].order, runs[i].seed);
-  };
-  if (options.executor != nullptr) {
-    options.executor->ParallelFor(runs.size(), execute);
-  } else {
-    for (uint64_t i = 0; i < runs.size(); ++i) execute(i);
-  }
-  result.fifo_terminated = tally(outcomes[0]);
-  result.datalog_first_terminated = tally(outcomes[1]);
-  for (std::size_t i = 2; i < outcomes.size(); ++i) {
-    if (tally(outcomes[i])) {
+    const ChaseOutcome outcome =
+        run(TriggerOrder::kRandom, options.seed + i * 0x9e3779b9u);
+    if (tally(outcome)) {
       ++result.random_orders_terminated;
-    } else if (outcomes[i] == ChaseOutcome::kResourceLimit) {
+    } else if (outcome == ChaseOutcome::kResourceLimit) {
       ++result.random_orders_diverged;
     }
   }

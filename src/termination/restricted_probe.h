@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "base/status.h"
-#include "base/thread_pool.h"
 #include "chase/chase.h"
 #include "model/tgd.h"
 #include "model/vocabulary.h"
@@ -23,25 +22,14 @@ struct RestrictedProbeOptions {
   uint64_t max_steps = 1u << 18;
   uint64_t max_hom_discoveries = 1ull << 22;
   uint64_t max_join_work = 1ull << 26;
-  /// Worker threads for each probe run's trigger-discovery phase (see
-  /// ChaseOptions::discovery_threads; outcome-invariant).
-  uint32_t discovery_threads = 1;
   /// Byte budget per sampled run (see ChaseOptions::max_memory_bytes;
   /// 0 = unlimited). A run stopped by it joins runs_aborted — memory
   /// exhaustion, like a deadline, is evidence of nothing.
   uint64_t max_memory_bytes = 0;
   /// Externally owned budget shared by all sampled runs (see
-  /// ChaseOptions::memory_budget). With an executor, concurrent runs
-  /// charge it concurrently and a trip stops whichever runs are over;
-  /// those join runs_aborted too.
+  /// ChaseOptions::memory_budget). A run stopped by it joins
+  /// runs_aborted too.
   std::shared_ptr<MemoryBudget> memory_budget;
-  /// Executor for the probe. When set, the sampled runs fan out over the
-  /// pool's workers (each run stays internally serial — a run inside a
-  /// pool task inlines its own discovery) and the pool is also handed to
-  /// any runs that do execute parallel discovery. Every run always
-  /// executes and the tally is applied in the fixed (fifo, datalog-first,
-  /// random_0..n) order, so results are identical to the serial probe.
-  std::shared_ptr<ThreadPool> executor;
   /// Probe the critical instance when true (default); otherwise the
   /// caller-provided database.
   bool use_critical_instance = true;

@@ -109,23 +109,19 @@ void ExpectConsistentPartialResult(const ChaseRun& run,
 
 TEST(ChaseDeadlineTest, DivergentChaseStopsWithinTwiceTheBudget) {
   // p(X) -> p(Y) under the oblivious chase diverges forever; a 200 ms
-  // budget must stop it well before 2x the budget at every thread count.
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    ParsedProgram program = MustParse("p(X) -> p(Y).\np(a).\n");
-    ChaseOptions options;
-    options.variant = ChaseVariant::kOblivious;
-    options.discovery_threads = threads;
-    options.deadline = Deadline::AfterMillis(200);
-    WallTimer timer;
-    ChaseRun run(program.rules, options, program.facts);
-    ChaseOutcome outcome = run.Execute();
-    const double seconds = timer.ElapsedSeconds();
-    EXPECT_EQ(outcome, ChaseOutcome::kDeadlineExceeded)
-        << "threads=" << threads;
-    EXPECT_LT(seconds, 0.4) << "threads=" << threads;
-    EXPECT_GT(run.applied_triggers(), 0u) << "threads=" << threads;
-    ExpectConsistentPartialResult(run, program.facts.size());
-  }
+  // budget must stop it well before 2x the budget.
+  ParsedProgram program = MustParse("p(X) -> p(Y).\np(a).\n");
+  ChaseOptions options;
+  options.variant = ChaseVariant::kOblivious;
+  options.deadline = Deadline::AfterMillis(200);
+  WallTimer timer;
+  ChaseRun run(program.rules, options, program.facts);
+  ChaseOutcome outcome = run.Execute();
+  const double seconds = timer.ElapsedSeconds();
+  EXPECT_EQ(outcome, ChaseOutcome::kDeadlineExceeded);
+  EXPECT_LT(seconds, 0.4);
+  EXPECT_GT(run.applied_triggers(), 0u);
+  ExpectConsistentPartialResult(run, program.facts.size());
 }
 
 TEST(ChaseDeadlineTest, ExpiredDeadlineStopsBeforeAnyWork) {
@@ -145,23 +141,20 @@ TEST(ChaseDeadlineTest, ExpiredDeadlineStopsBeforeAnyWork) {
 // Chase engine: cancellation from another thread.
 
 TEST(ChaseCancellationTest, SecondThreadCancelsDivergentRun) {
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    ParsedProgram program = MustParse("p(X) -> p(Y).\np(a).\n");
-    ChaseOptions options;
-    options.variant = ChaseVariant::kOblivious;
-    options.discovery_threads = threads;
-    options.cancel = CancellationToken();
-    CancellationToken token = options.cancel;
-    std::thread canceller([token]() {
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      token.RequestCancel();
-    });
-    ChaseRun run(program.rules, options, program.facts);
-    ChaseOutcome outcome = run.Execute();
-    canceller.join();
-    EXPECT_EQ(outcome, ChaseOutcome::kCancelled) << "threads=" << threads;
-    ExpectConsistentPartialResult(run, program.facts.size());
-  }
+  ParsedProgram program = MustParse("p(X) -> p(Y).\np(a).\n");
+  ChaseOptions options;
+  options.variant = ChaseVariant::kOblivious;
+  options.cancel = CancellationToken();
+  CancellationToken token = options.cancel;
+  std::thread canceller([token]() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    token.RequestCancel();
+  });
+  ChaseRun run(program.rules, options, program.facts);
+  ChaseOutcome outcome = run.Execute();
+  canceller.join();
+  EXPECT_EQ(outcome, ChaseOutcome::kCancelled);
+  ExpectConsistentPartialResult(run, program.facts.size());
 }
 
 TEST(ChaseCancellationTest, PreCancelledTokenStopsImmediately) {
@@ -214,22 +207,18 @@ TEST(FaultInjectionTest, TriggerApplyFaultStopsAtExactTrigger) {
 TEST(FaultInjectionTest, DiscoveryFaultDropsThePartialCandidateSet) {
   // Aborting at the first discovery unit leaves the database untouched:
   // partial candidates are never applied.
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    ParsedProgram program = MustParse("p(X) -> p(Y).\np(a).\n");
-    ChaseOptions options;
-    options.variant = ChaseVariant::kOblivious;
-    options.discovery_threads = threads;
-    options.fault_injector = [](FaultSite site, uint64_t) {
-      return site == FaultSite::kDiscovery ? InjectedFault::kDeadline
-                                           : InjectedFault::kNone;
-    };
-    ChaseRun run(program.rules, options, program.facts);
-    EXPECT_EQ(run.Execute(), ChaseOutcome::kDeadlineExceeded)
-        << "threads=" << threads;
-    EXPECT_EQ(run.instance().size(), 1u) << "threads=" << threads;
-    EXPECT_EQ(run.applied_triggers(), 0u) << "threads=" << threads;
-    ExpectConsistentPartialResult(run, program.facts.size());
-  }
+  ParsedProgram program = MustParse("p(X) -> p(Y).\np(a).\n");
+  ChaseOptions options;
+  options.variant = ChaseVariant::kOblivious;
+  options.fault_injector = [](FaultSite site, uint64_t) {
+    return site == FaultSite::kDiscovery ? InjectedFault::kDeadline
+                                         : InjectedFault::kNone;
+  };
+  ChaseRun run(program.rules, options, program.facts);
+  EXPECT_EQ(run.Execute(), ChaseOutcome::kDeadlineExceeded);
+  EXPECT_EQ(run.instance().size(), 1u);
+  EXPECT_EQ(run.applied_triggers(), 0u);
+  ExpectConsistentPartialResult(run, program.facts.size());
 }
 
 TEST(FaultInjectionTest, InjectedResourceLimitSurfacesAsResourceLimit) {

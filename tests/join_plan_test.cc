@@ -2,8 +2,8 @@
 // (rule, pivot) unit runs the range-clipped backtracking search into a
 // BindingSegment. Covers BindingSegment budget mechanics and — the core
 // contract — bit-identity of the engine with the reference chase across
-// the variant x order grid and discovery-cap sweeps, plus thread-count
-// invariance under join-work caps and fault-injection abort points.
+// the variant x order grid and discovery-cap sweeps, plus pinned results
+// under join-work caps and deterministic fault-injection abort points.
 
 #include <string>
 #include <utility>
@@ -57,20 +57,8 @@ TEST(BindingSegmentTest, RowsRoundTrip) {
 
 // -------------------------------------------------------------------------
 // Bit-identity: the engine vs the reference chase across variants,
-// orders and caps; join-work caps, which the reference does not meter, vs
-// the engine at other thread counts.
-
-/// Runs `options` at 1 thread and at `threads` threads with the parallel
-/// cutover off, so even tiny rounds take the pool.
-std::pair<ChaseResult, ChaseResult> RunThreadTwins(const ParsedProgram& program,
-                                                   ChaseOptions options,
-                                                   uint32_t threads) {
-  options.parallel_cutover_work = 0;
-  ChaseResult one = RunChase(program.rules, options, program.facts);
-  options.discovery_threads = threads;
-  ChaseResult many = RunChase(program.rules, options, program.facts);
-  return {std::move(one), std::move(many)};
-}
+// orders and caps; join-work caps, which the reference does not meter,
+// against pinned results.
 
 /// A workload exercising every body shape at once: a two-conjunct join
 /// (closure), a unary rule with an existential multi-atom head, a
@@ -92,23 +80,41 @@ ParsedProgram MixedWorkload() {
 }
 
 TEST(JoinPlanTest, BitIdenticalAcrossVariantsAndOrders) {
+  // The variant x order grid, uncapped and under each count cap the
+  // reference honors.
   ParsedProgram program = MixedWorkload();
+  struct Regime {
+    const char* name;
+    uint64_t ChaseOptions::*cap;
+    uint64_t value;
+  };
+  const Regime regimes[] = {
+      {"uncapped", &ChaseOptions::max_atoms, 4000},
+      {"max_steps", &ChaseOptions::max_steps, 23},
+      {"max_atoms", &ChaseOptions::max_atoms, 25},
+      {"max_nulls", &ChaseOptions::max_nulls, 5},
+      {"max_homs", &ChaseOptions::max_hom_discoveries, 40},
+  };
   for (ChaseVariant variant :
        {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
         ChaseVariant::kRestricted}) {
     for (TriggerOrder order :
          {TriggerOrder::kFifo, TriggerOrder::kDatalogFirst,
           TriggerOrder::kRandom}) {
-      ChaseOptions options;
-      options.variant = variant;
-      options.order = order;
-      options.order_seed = 0x9e3779b97f4a7c15ull;
-      options.max_atoms = 4000;
-      options.max_steps = 4000;
-      ExpectMatchesReference(program, options,
-                             std::string(ChaseVariantName(variant)) +
-                                 "/order=" +
-                                 std::to_string(static_cast<int>(order)));
+      for (const Regime& regime : regimes) {
+        ChaseOptions options;
+        options.variant = variant;
+        options.order = order;
+        options.order_seed = 0x9e3779b97f4a7c15ull;
+        options.max_atoms = 4000;
+        options.max_steps = 4000;
+        options.*regime.cap = regime.value;
+        ExpectMatchesReference(program, options,
+                               std::string(ChaseVariantName(variant)) +
+                                   "/order=" +
+                                   std::to_string(static_cast<int>(order)) +
+                                   "/" + regime.name);
+      }
     }
   }
 }
@@ -149,111 +155,77 @@ TEST(JoinPlanTest, BitIdenticalUnderHomDiscoveryCap) {
 
 TEST(JoinPlanTest, BitIdenticalUnderJoinWorkCap) {
   // A join-work cap stops a round at a point that depends on what the
-  // earlier units charged; the capped rerun must find that point the same
-  // way at every thread count, join_work included.
-  ParsedProgram program = MixedWorkload();
-  for (ChaseVariant variant :
-       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
-        ChaseVariant::kRestricted}) {
-    for (uint64_t cap : {1u, 30u, 111u, 500u, 2000u}) {
-      for (uint32_t threads : {2u, 4u}) {
-        ChaseOptions options;
-        options.variant = variant;
-        options.max_join_work = cap;
-        options.max_atoms = 4000;
-        options.max_steps = 4000;
-        const auto [one, many] = RunThreadTwins(program, options, threads);
-        ExpectSameRun(one, many, /*compare_join_work=*/true,
-                      std::string(ChaseVariantName(variant)) +
-                          "/max_join_work=" + std::to_string(cap) +
-                          "/threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(JoinPlanTest, BitIdenticalAcrossThreadCounts) {
-  // Parallel rounds must agree with inline rounds — join_work included —
-  // and every thread count with the reference chase, over the variant x
-  // order grid, uncapped and under each count cap the reference honors.
-  ParsedProgram program = MixedWorkload();
-  ChaseOptions base;
-  base.max_atoms = 4000;
-  base.max_steps = 4000;
-  for (uint32_t threads : {2u, 4u}) {
-    const auto [one, many] = RunThreadTwins(program, base, threads);
-    ExpectSameRun(one, many, /*compare_join_work=*/true,
-                  "threads=" + std::to_string(threads));
-  }
-  struct Regime {
-    const char* name;
-    uint64_t ChaseOptions::*cap;
-    uint64_t value;
+  // earlier units charged; each unit gets only what its predecessors
+  // left. The reference does not meter join work, so the results are
+  // pinned: outcome, atoms, applied triggers and join_work as recorded
+  // for this workload.
+  struct Pinned {
+    ChaseVariant variant;
+    uint64_t cap;
+    ChaseOutcome outcome;
+    uint64_t atoms;
+    uint64_t applied;
+    uint64_t join_work;
   };
-  const Regime regimes[] = {
-      {"uncapped", &ChaseOptions::max_atoms, 1500},
-      {"max_steps", &ChaseOptions::max_steps, 23},
-      {"max_atoms", &ChaseOptions::max_atoms, 25},
-      {"max_nulls", &ChaseOptions::max_nulls, 5},
-      {"max_homs", &ChaseOptions::max_hom_discoveries, 40},
+  constexpr ChaseOutcome kCapped = ChaseOutcome::kResourceLimit;
+  const Pinned pinned[] = {
+      {ChaseVariant::kOblivious, 1, kCapped, 8, 0, 2},
+      {ChaseVariant::kOblivious, 30, kCapped, 36, 14, 31},
+      {ChaseVariant::kOblivious, 111, kCapped, 66, 48, 112},
+      {ChaseVariant::kOblivious, 500, kCapped, 196, 211, 501},
+      {ChaseVariant::kOblivious, 2000, kCapped, 884, 863, 2001},
+      {ChaseVariant::kSemiOblivious, 1, kCapped, 8, 0, 2},
+      {ChaseVariant::kSemiOblivious, 30, kCapped, 36, 14, 31},
+      {ChaseVariant::kSemiOblivious, 111, kCapped, 66, 42, 112},
+      {ChaseVariant::kSemiOblivious, 500, kCapped, 196, 142, 501},
+      {ChaseVariant::kSemiOblivious, 2000, kCapped, 884, 540, 2001},
+      {ChaseVariant::kRestricted, 1, kCapped, 8, 0, 2},
+      {ChaseVariant::kRestricted, 30, kCapped, 36, 14, 38},
+      {ChaseVariant::kRestricted, 111, kCapped, 63, 39, 135},
+      {ChaseVariant::kRestricted, 500, kCapped, 184, 130, 565},
+      {ChaseVariant::kRestricted, 2000, kCapped, 524, 388, 2193},
   };
-  for (ChaseVariant variant :
-       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
-        ChaseVariant::kRestricted}) {
-    for (TriggerOrder order :
-         {TriggerOrder::kFifo, TriggerOrder::kDatalogFirst,
-          TriggerOrder::kRandom}) {
-      for (const Regime& regime : regimes) {
-        for (uint32_t threads : {1u, 2u, 4u}) {
-          ChaseOptions options;
-          options.variant = variant;
-          options.order = order;
-          options.order_seed = 0x9e3779b97f4a7c15ull;
-          options.max_atoms = 1500;
-          options.max_steps = 1500;
-          options.*regime.cap = regime.value;
-          options.discovery_threads = threads;
-          options.parallel_cutover_work = 0;
-          ExpectMatchesReference(
-              program, options,
-              std::string(ChaseVariantName(variant)) + "/order=" +
-                  std::to_string(static_cast<int>(order)) + "/" +
-                  regime.name + "/threads=" + std::to_string(threads));
-        }
-      }
-    }
+  ParsedProgram program = MixedWorkload();
+  for (const Pinned& expected : pinned) {
+    ChaseOptions options;
+    options.variant = expected.variant;
+    options.max_join_work = expected.cap;
+    options.max_atoms = 4000;
+    options.max_steps = 4000;
+    const ChaseResult run = RunChase(program.rules, options, program.facts);
+    const std::string context =
+        std::string(ChaseVariantName(expected.variant)) +
+        "/max_join_work=" + std::to_string(expected.cap);
+    EXPECT_EQ(run.outcome, expected.outcome) << context;
+    EXPECT_EQ(run.instance.size(), expected.atoms) << context;
+    EXPECT_EQ(run.applied_triggers, expected.applied) << context;
+    EXPECT_EQ(run.join_work, expected.join_work) << context;
+    // Deterministic: a second run is the same run, join_work included.
+    ExpectSameRun(run, RunChase(program.rules, options, program.facts),
+                  /*compare_join_work=*/true, context);
   }
 }
 
 // -------------------------------------------------------------------------
-// Fault-injection abort points: the engine must stop with the same
-// outcome and the same instance at every deterministic abort, whether
-// its units ran inline or on the pool. Counters accrued mid-discovery
-// (join_work) may legitimately differ on aborted rounds — the units that
-// ran before the abort depend on scheduling, and their work is discarded
-// wholesale — so they are not compared here.
+// Fault-injection abort points: a run stopped at a deterministic abort
+// stops the same way every time, with an instance that is an atom-for-atom
+// prefix of the unfaulted run's.
 
-void ExpectAbortTwinsAgree(const ParsedProgram& program,
-                           const ChaseOptions& options,
-                           const std::string& context) {
-  const auto [one, many] = RunThreadTwins(program, options, 4);
-  EXPECT_EQ(one.outcome, many.outcome) << context;
-  EXPECT_EQ(one.applied_triggers, many.applied_triggers) << context;
-  const std::vector<Atom> one_atoms = one.instance.MaterializeAtoms();
-  const std::vector<Atom> many_atoms = many.instance.MaterializeAtoms();
-  ASSERT_EQ(one_atoms.size(), many_atoms.size()) << context;
-  for (std::size_t i = 0; i < one_atoms.size(); ++i) {
-    ASSERT_TRUE(one_atoms[i] == many_atoms[i]) << context << " atom " << i;
+void ExpectDeterministicPrefixAbort(const ParsedProgram& program,
+                                    const ChaseOptions& options,
+                                    const std::string& context) {
+  const ChaseResult first = RunChase(program.rules, options, program.facts);
+  const ChaseResult second = RunChase(program.rules, options, program.facts);
+  ExpectSameRun(first, second, /*compare_join_work=*/true, context);
+  ChaseOptions unfaulted = options;
+  unfaulted.fault_injector = nullptr;
+  const ChaseResult full = RunChase(program.rules, unfaulted, program.facts);
+  const std::vector<Atom> atoms = first.instance.MaterializeAtoms();
+  const std::vector<Atom> full_atoms = full.instance.MaterializeAtoms();
+  ASSERT_LE(atoms.size(), full_atoms.size()) << context;
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    ASSERT_TRUE(atoms[i] == full_atoms[i]) << context << " atom " << i;
   }
-}
-
-/// Apply-phase and round-boundary aborts happen outside discovery: full
-/// bit-identity across thread counts, counters included.
-void ExpectAbortTwinsIdentical(const ParsedProgram& program,
-                               const ChaseOptions& options,
-                               const std::string& context) {
-  const auto [one, many] = RunThreadTwins(program, options, 4);
-  ExpectSameRun(one, many, /*compare_join_work=*/true, context);
 }
 
 TEST(JoinPlanTest, FaultAtDiscoveryUnitAbortsIdentically) {
@@ -267,8 +239,8 @@ TEST(JoinPlanTest, FaultAtDiscoveryUnitAbortsIdentically) {
                  ? InjectedFault::kCancel
                  : InjectedFault::kNone;
     };
-    ExpectAbortTwinsAgree(program, options,
-                          "discovery-ordinal=" + std::to_string(ordinal));
+    ExpectDeterministicPrefixAbort(
+        program, options, "discovery-ordinal=" + std::to_string(ordinal));
   }
 }
 
@@ -283,8 +255,8 @@ TEST(JoinPlanTest, FaultAtRoundStartAbortsIdentically) {
                  ? InjectedFault::kDeadline
                  : InjectedFault::kNone;
     };
-    ExpectAbortTwinsIdentical(program, options,
-                              "round-start=" + std::to_string(round));
+    ExpectDeterministicPrefixAbort(program, options,
+                                   "round-start=" + std::to_string(round));
   }
 }
 
@@ -299,8 +271,8 @@ TEST(JoinPlanTest, FaultAtTriggerApplyAbortsIdentically) {
                  ? InjectedFault::kResourceLimit
                  : InjectedFault::kNone;
     };
-    ExpectAbortTwinsIdentical(program, options,
-                              "trigger-apply=" + std::to_string(ordinal));
+    ExpectDeterministicPrefixAbort(
+        program, options, "trigger-apply=" + std::to_string(ordinal));
   }
 }
 
@@ -322,7 +294,7 @@ TEST(JoinPlanTest, StatsReportPlanActivity) {
     binding_rows += rounds[i].binding_rows;
     // Every (rule, pivot) unit runs the search and counts as a fallback
     // unit: 2 + 1 + 2 + 1 + 1 + 3 of them. The step cap binds in the last
-    // round, whose capped rerun stops at the unit where the cap bound.
+    // round, whose pass stops at the unit where the cap bound.
     EXPECT_EQ(rounds[i].plan_units, 0u) << "round " << i;
     if (i + 1 < rounds.size()) {
       EXPECT_EQ(rounds[i].fallback_units, 10u) << "round " << i;

@@ -243,9 +243,9 @@ TEST(ChaseMemoryTest, CappedRunIsBitExactPrefixOfUncappedRun) {
 
 TEST(ChaseMemoryTest, InjectedAllocationFaultIsEngineInvariant) {
   // The kAllocation ordinal space does not depend on whether the run
-  // records provenance (written at each flush of the staged head atoms)
-  // nor on the discovery thread count: a memory-budget fault injected at
-  // the same ordinal must stop every configuration at the same prefix.
+  // records provenance (written at each flush of the staged head atoms):
+  // a memory-budget fault injected at the same ordinal must stop both
+  // configurations at the same prefix.
   ParsedProgram program = MustParse(kDivergingProgram);
   for (uint64_t target : {uint64_t{0}, uint64_t{2}, uint64_t{6}}) {
     struct Stop {
@@ -257,18 +257,14 @@ TEST(ChaseMemoryTest, InjectedAllocationFaultIsEngineInvariant) {
     struct Engine {
       const char* name;
       bool track_provenance;
-      uint32_t threads;
     };
     for (const Engine& engine :
-         {Engine{"serial-staged", false, 1}, Engine{"provenance", true, 1},
-          Engine{"parallel-staged", false, 2}}) {
+         {Engine{"staged", false}, Engine{"provenance", true}}) {
       auto fired = std::make_shared<std::atomic<bool>>(false);
       ChaseOptions options;
       options.variant = ChaseVariant::kOblivious;
       options.max_atoms = 1u << 12;
       options.track_provenance = engine.track_provenance;
-      options.discovery_threads = engine.threads;
-      if (engine.threads > 1) options.parallel_cutover_work = 0;
       options.fault_injector = [fired, target](FaultSite site,
                                                uint64_t ordinal) {
         if (site == FaultSite::kAllocation && ordinal == target) {

@@ -12,13 +12,13 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "chase/chase.h"
 #include "gtest/gtest.h"
 #include "obs/histogram.h"
@@ -48,6 +48,19 @@ std::vector<TraceEvent> AllEvents() {
     out.insert(out.end(), thread.events.begin(), thread.events.end());
   }
   return out;
+}
+
+/// Runs fn(u) for every u in [0, units) on `threads` plain std::threads,
+/// thread t taking the units u with u % threads == t.
+void RunOnThreads(uint32_t threads, uint64_t units,
+                  const std::function<void(uint64_t)>& fn) {
+  std::vector<std::thread> workers;
+  for (uint32_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&fn, threads, units, t] {
+      for (uint64_t u = t; u < units; u += threads) fn(u);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
 }
 
 /// Walks one thread's events checking stack discipline: every 'E' closes
@@ -155,7 +168,7 @@ TEST(TracerTest, CategoryFilteringDropsDisabledCategories) {
   EXPECT_FALSE(tracer.enabled(TraceCategory::kPool));
   {
     PhaseScope kept(Phase::kChaseRound);
-    PhaseScope filtered(Phase::kPoolJob);
+    PhaseScope filtered(Phase::kDeciderChase);
     GCHASE_TRACE_INSTANT(TraceCategory::kStorage, "filtered_too", 0);
   }
   tracer.Stop();
@@ -261,7 +274,7 @@ TEST(TracerTest, DisabledTracerRecordsNothingAndAllocatesNothing) {
   const uint64_t buffers_before = tracer.buffers_created();
   for (int i = 0; i < 1000; ++i) {
     PhaseScope noop(Phase::kChaseRound, i);
-    GCHASE_TRACE_INSTANT(TraceCategory::kPool, "noop_instant", i);
+    GCHASE_TRACE_INSTANT(TraceCategory::kDecider, "noop_instant", i);
   }
   // No category enabled: no events stored, no buffer ever allocated —
   // the instrumentation cost was one relaxed load per site.
@@ -270,25 +283,22 @@ TEST(TracerTest, DisabledTracerRecordsNothingAndAllocatesNothing) {
   EXPECT_EQ(tracer.TotalDropped(), 0u);
 }
 
-// Eight workers record spans and instants concurrently while the main
-// thread collects mid-flight; run under TSan in CI. Single-writer
+// Eight worker threads record spans and instants concurrently while one
+// of them collects mid-flight; run under TSan in CI. Single-writer
 // buffers with release-publication make this race-free by construction.
 TEST(TracerTest, ConcurrentRecordingFromPoolWorkers) {
   Tracer& tracer = Tracer::Global();
   tracer.Start(ConfigFor(kAllTraceCategories));
   std::atomic<uint64_t> work{0};
-  {
-    ThreadPool pool(8);
-    pool.ParallelFor(256, [&work](uint64_t i) {
-      PhaseScope unit(Phase::kChaseDiscovery, i);
-      GCHASE_TRACE_INSTANT(TraceCategory::kChase, "unit_tick", i);
-      work.fetch_add(i, std::memory_order_relaxed);
-      if (i == 128) {
-        // Concurrent collection: readers only see published prefixes.
-        (void)Tracer::Global().Collect();
-      }
-    });
-  }
+  RunOnThreads(8, 256, [&work](uint64_t i) {
+    PhaseScope unit(Phase::kChaseDiscovery, i);
+    GCHASE_TRACE_INSTANT(TraceCategory::kChase, "unit_tick", i);
+    work.fetch_add(i, std::memory_order_relaxed);
+    if (i == 128) {
+      // Concurrent collection: readers only see published prefixes.
+      (void)Tracer::Global().Collect();
+    }
+  });
   tracer.Stop();
   EXPECT_EQ(work.load(), uint64_t{256} * 255 / 2);
 
@@ -302,8 +312,7 @@ TEST(TracerTest, ConcurrentRecordingFromPoolWorkers) {
       }
     }
   }
-  // Every unit recorded exactly once, whichever worker ran it (the pool
-  // instrumentation contributes pool.* events on top).
+  // Every unit recorded exactly once, whichever worker ran it.
   EXPECT_EQ(units, 256u);
 }
 
@@ -315,7 +324,7 @@ TEST(TraceExportTest, ChromeJsonShapeAndBalance) {
   tracer.Start(ConfigFor(kAllTraceCategories));
   {
     PhaseScope outer(Phase::kChaseRound, 7);
-    GCHASE_TRACE_INSTANT(TraceCategory::kPool, "export_tick", 9);
+    GCHASE_TRACE_INSTANT(TraceCategory::kDecider, "export_tick", 9);
   }
   tracer.RecordComplete(TraceCategory::kChase, "export_slow", 0, 1'000'000, 3);
   tracer.Stop();
@@ -337,7 +346,7 @@ TEST(TraceExportTest, ChromeJsonShapeAndBalance) {
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\": \"chase\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\": \"pool\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\": \"decider\""), std::string::npos);
   // One B and one E for the span.
   std::size_t begins = 0;
   for (std::size_t pos = json.find("\"ph\": \"B\""); pos != std::string::npos;
@@ -422,7 +431,7 @@ TEST(MetricsTest, ResetZeroesValuesKeepsRegistrations) {
   EXPECT_EQ(registry.Counter("test.reset"), counter);
 }
 
-TEST(MetricsTest, PublishChaseMetricsExportsParallelFields) {
+TEST(MetricsTest, PublishChaseMetricsExportsDiscoveryFields) {
   ParsedProgram program = MustParse(
       "p(X) -> q(X).\n"
       "q(X) -> r(X).\n"
@@ -437,11 +446,15 @@ TEST(MetricsTest, PublishChaseMetricsExportsParallelFields) {
   EXPECT_GT(registry.CounterValue("chase.rounds"), 0u);
   EXPECT_GT(registry.CounterValue("chase.triggers_applied"), 0u);
   EXPECT_GT(registry.GaugeValue("chase.peak_atoms"), 0);
+  // Two single-conjunct rules: two units per pass, every pass merged
+  // (the terminal empty one has no per-round entry).
+  const uint64_t rounds = run.stats().per_round.size();
+  EXPECT_EQ(registry.CounterValue("chase.discovery_units"), 2 * rounds);
+  EXPECT_EQ(registry.CounterValue("chase.discovery_binding_rows"), 2u);
+  // Discovery is serial: no parallel-engine fields are published.
   const std::string json = registry.SnapshotJson();
-  // The previously-unserialized parallel-discovery fields surface here.
-  EXPECT_NE(json.find("\"chase.parallel_rounds\""), std::string::npos);
-  EXPECT_NE(json.find("\"chase.estimated_work\""), std::string::npos);
-  EXPECT_NE(json.find("\"chase.discovery_threads\""), std::string::npos);
+  EXPECT_EQ(json.find("\"chase.parallel_rounds\""), std::string::npos);
+  EXPECT_EQ(json.find("\"chase.discovery_threads\""), std::string::npos);
 }
 
 // -------------------------------------------------------------------------
@@ -841,24 +854,40 @@ TEST(PhaseScopeTest, OneMergeSamplePerMergedPass) {
     return hist == nullptr ? uint64_t{0} : hist->count();
   };
 
-  // Uncapped: every pass merges, the terminal empty one included.
+  // Three (rule, pivot) units per pass. Each unit's merge gets its own
+  // sample, after and apart from the unit's search sample.
+  const auto merged_units = [](const ChaseRun& r) {
+    uint64_t units = 0;
+    for (const RoundStats& round : r.stats().per_round) {
+      units += round.fallback_units;
+    }
+    return units;
+  };
+
+  // Uncapped: every unit of every pass merges, the terminal empty pass
+  // included.
   MetricsRegistry::Global().Reset();
   ChaseRun run(program.rules, ChaseOptions{}, program.facts);
   ASSERT_EQ(run.Execute(), ChaseOutcome::kTerminated);
   const uint64_t rounds = run.stats().per_round.size();
-  EXPECT_EQ(samples("chase.discovery_merge_ns"), rounds + 1);
+  EXPECT_EQ(merged_units(run), 3 * rounds);
+  EXPECT_EQ(samples("chase.discovery_merge_ns"), 3 * (rounds + 1));
+  EXPECT_EQ(samples("chase.discovery_unit_ns"), 3 * (rounds + 1));
   EXPECT_EQ(samples("chase.discovery_ns"), rounds + 1);
 
-  // A hom cap that binds mid-round: the round reruns its units inline,
-  // and that pass still records one merge sample.
+  // A hom cap that binds mid-round stops the pass at the unit that hits
+  // it: later units neither run nor merge.
   MetricsRegistry::Global().Reset();
   ChaseOptions capped;
   capped.max_hom_discoveries = 9;
   ChaseRun capped_run(program.rules, capped, program.facts);
   ASSERT_EQ(capped_run.Execute(), ChaseOutcome::kResourceLimit);
   EXPECT_EQ(capped_run.hom_discoveries(), 9u);
-  EXPECT_EQ(samples("chase.discovery_merge_ns"),
-            samples("chase.discovery_ns"));
+  const uint64_t capped_rounds = capped_run.stats().per_round.size();
+  EXPECT_LT(merged_units(capped_run), 3 * capped_rounds);
+  EXPECT_EQ(samples("chase.discovery_merge_ns"), merged_units(capped_run));
+  EXPECT_EQ(samples("chase.discovery_unit_ns"), merged_units(capped_run));
+  EXPECT_EQ(samples("chase.discovery_ns"), capped_rounds);
 
   // A pass stopped at its first unit never reaches the merge.
   MetricsRegistry::Global().Reset();
@@ -871,7 +900,20 @@ TEST(PhaseScopeTest, OneMergeSamplePerMergedPass) {
   ChaseRun faulted_run(program.rules, faulted, program.facts);
   ASSERT_EQ(faulted_run.Execute(), ChaseOutcome::kCancelled);
   EXPECT_EQ(samples("chase.discovery_ns"), 1u);
+  EXPECT_EQ(samples("chase.discovery_unit_ns"), 0u);
   EXPECT_EQ(samples("chase.discovery_merge_ns"), 0u);
+
+  // Stopped at its third unit: the two units before it ran and merged.
+  MetricsRegistry::Global().Reset();
+  faulted.fault_injector = [](FaultSite site, uint64_t ordinal) {
+    return site == FaultSite::kDiscovery && ordinal == 2
+               ? InjectedFault::kCancel
+               : InjectedFault::kNone;
+  };
+  ChaseRun late_run(program.rules, faulted, program.facts);
+  ASSERT_EQ(late_run.Execute(), ChaseOutcome::kCancelled);
+  EXPECT_EQ(samples("chase.discovery_unit_ns"), 2u);
+  EXPECT_EQ(samples("chase.discovery_merge_ns"), 2u);
   SetProfilingEnabled(was_profiling);
 }
 
@@ -884,12 +926,9 @@ TEST(PhaseScopeTest, ConcurrentScopesLoseNoSamples) {
 
   constexpr uint64_t kUnits = 1000;
   std::vector<double> seconds(kUnits, 0.0);
-  {
-    ThreadPool pool(4);
-    pool.ParallelFor(kUnits, [&seconds](uint64_t u) {
-      PhaseScope scope(Phase::kChaseBatchFlush, u, &seconds[u]);
-    });
-  }
+  RunOnThreads(4, kUnits, [&seconds](uint64_t u) {
+    PhaseScope scope(Phase::kChaseBatchFlush, u, &seconds[u]);
+  });
   tracer.Stop();
   SetProfilingEnabled(was_profiling);
 
@@ -911,7 +950,6 @@ TEST(PhaseScopeTest, ConcurrentScopesLoseNoSamples) {
   double total = 0.0;
   for (double s : seconds) total += s;
   EXPECT_NEAR(hist->sum(), Nanos(total), kUnits);
-  EXPECT_EQ(registry.FindHistogram("pool.job_ns")->count(), 1u);
 }
 
 // -------------------------------------------------------------------------

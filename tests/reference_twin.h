@@ -3,7 +3,7 @@
 
 // Bit-identity assertions between two chase runs of one program: the
 // engine against the reference chase (fuzz/reference_chase.h), or the
-// engine against itself at another thread count.
+// engine against a second run of itself.
 
 #include <string>
 

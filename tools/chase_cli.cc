@@ -3,7 +3,7 @@
 //
 // Usage:
 //   ./build/tools/chase_cli <file.dlgp> [variant] [max_atoms]
-//                           [--dot] [--stats] [--threads=N]
+//                           [--dot] [--stats]
 //                           [--deadline-ms=N] [--max-memory-mb=N]
 //                           [--load-csv=FILE] [--edb-dir=DIR]
 //                           [--decide] [--trace=FILE]
@@ -15,8 +15,6 @@
 //                 of the atom list (pipe into `dot -Tsvg`)
 //     --stats:    emit the run's ChaseStats as JSON instead of the atom
 //                 list (per-rule counters, per-round timings, peaks)
-//     --threads=N parallel trigger discovery with N workers (default 1;
-//                 the result is bit-identical for every N)
 //     --deadline-ms=N  wall-clock budget; an expired run stops at its
 //                 next cooperative checkpoint with the partial instance
 //                 and stats intact
@@ -39,17 +37,17 @@
 //                 termination analysis on the rule set: the exact/probe
 //                 decider cascade for both the oblivious and the
 //                 semi-oblivious chase, plus the restricted-chase order
-//                 probe fanned out over a 2-worker pool — the one-flag
-//                 way to exercise the chase, decider and pool layers in
-//                 a single traceable process
+//                 probe — the one-flag way to exercise the chase and
+//                 decider layers in a single traceable process
 //     --trace=FILE  record a Chrome-trace/Perfetto JSON of the run (load
 //                 it at ui.perfetto.dev); a flame summary of the spans
 //                 goes to stderr, and a machine-readable copy to
 //                 FILE.summary.json
 //     --trace-categories=LIST  comma-separated subset of
-//                 chase,pool,decider,storage,fuzz (default: all)
+//                 chase,decider,storage,fuzz (default: all; `pool` is
+//                 accepted and records nothing)
 //     --metrics-json=FILE  write the process metrics registry snapshot
-//                 (chase.* counters including the parallel-discovery
+//                 (chase.* counters including the discovery-unit
 //                 fields, forest.* gauges, latency histograms and the
 //                 per-phase perf-counter section) as JSON. Also turns
 //                 the profiling layer on: round/apply/discovery latency
@@ -73,7 +71,6 @@
 // The input file holds rules and facts in the library's syntax; see
 // examples/rules/*.dlgp.
 
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -83,9 +80,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 
-#include "base/thread_pool.h"
 #include "base/timer.h"
 #include "bench/bench_util.h"
 #include "chase/chase.h"
@@ -174,10 +169,9 @@ struct ObsFlusher {
 // the process exit code (0 = every phase ran; verdicts are data, not
 // errors).
 int RunDecideMode(gchase::ParsedProgram& parsed, int64_t deadline_ms,
-                  uint32_t threads, uint64_t max_memory_bytes) {
+                  uint64_t max_memory_bytes) {
   using namespace gchase;
   DeciderOptions options;
-  options.discovery_threads = threads;
   if (deadline_ms >= 0) options.deadline = Deadline::AfterMillis(deadline_ms);
   options.cancel = g_cancel;
   options.max_memory_bytes = max_memory_bytes;
@@ -201,11 +195,9 @@ int RunDecideMode(gchase::ParsedProgram& parsed, int64_t deadline_ms,
     PublishChaseMetrics(result->chase_stats);
   }
 
-  // Restricted-chase order probe over its own 2-worker pool. The pool is
-  // deliberately created regardless of core count so the pool category
-  // records scheduler events (run/steal/park) even on a 1-core host.
+  // Restricted-chase order probe: fifo, datalog-first and four random
+  // orders, run one after another.
   RestrictedProbeOptions probe;
-  probe.executor = std::make_shared<ThreadPool>(2);
   probe.num_random_orders = 4;
   if (deadline_ms >= 0) probe.deadline = Deadline::AfterMillis(deadline_ms);
   probe.cancel = g_cancel;
@@ -232,7 +224,7 @@ int RunDecideMode(gchase::ParsedProgram& parsed, int64_t deadline_ms,
 int Usage(const char* program) {
   std::fprintf(stderr,
                "usage: %s <file.dlgp> [restricted|semi-oblivious|"
-               "oblivious] [max_atoms] [--dot] [--stats] [--threads=N] "
+               "oblivious] [max_atoms] [--dot] [--stats] "
                "[--deadline-ms=N] [--max-memory-mb=N] "
                "[--load-csv=FILE] [--edb-dir=DIR] [--decide] "
                "[--trace=FILE] [--trace-categories=LIST] "
@@ -265,7 +257,6 @@ int main(int argc, char** argv) {
   bool want_decide = false;
   std::string load_csv_path;
   std::string edb_dir;
-  uint32_t threads = 1;
   int64_t deadline_ms = -1;
   uint64_t max_memory_bytes = 0;
   uint64_t progress_interval_ms = 0;  // 0 = heartbeat off.
@@ -329,21 +320,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       if (progress_interval_ms == 0) progress_interval_ms = 1000;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<uint32_t>(std::strtoul(argv[i] + 10, nullptr, 10));
-      if (threads == 0) threads = 1;
-      // Oversubscribing buys nothing for a CPU-bound fan-out; cap at what
-      // the machine actually has (hardware_concurrency can report 0 when
-      // unknown — treat that as 1).
-      const uint32_t cores =
-          std::max(1u, std::thread::hardware_concurrency());
-      if (threads > cores) {
-        std::fprintf(stderr,
-                     "%% --threads=%u exceeds hardware_concurrency=%u; "
-                     "capping\n",
-                     threads, cores);
-        threads = cores;
-      }
     } else if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
       deadline_ms = std::strtoll(argv[i] + 14, nullptr, 10);
       if (deadline_ms < 0) {
@@ -418,13 +394,12 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, HandleSigint);
   if (want_decide) {
-    return RunDecideMode(*parsed, deadline_ms, threads, max_memory_bytes);
+    return RunDecideMode(*parsed, deadline_ms, max_memory_bytes);
   }
 
   ChaseOptions options;
   options.max_atoms = 10000;
   options.track_provenance = want_dot;
-  options.discovery_threads = threads;
   if (deadline_ms >= 0) options.deadline = Deadline::AfterMillis(deadline_ms);
   options.cancel = g_cancel;
   options.max_memory_bytes = max_memory_bytes;
